@@ -194,11 +194,7 @@ class PerronData:
     degree: int
 
     def exact_str(self) -> str | None:
-        if self.exact is None:
-            return None
-        if isinstance(self.exact, Fraction):
-            return str(self.exact)
-        return str(self.exact)
+        return None if self.exact is None else str(self.exact)
 
     def to_json_dict(self) -> dict:
         return {

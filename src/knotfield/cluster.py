@@ -144,7 +144,7 @@ def laurent_check(seed: Seed, directions) -> bool:
     for k in directions:
         current = mutate_seed(current, k)
         for var in current.variables:
-            if not (var.is_reduced() and var.has_monomial_denominator()):
+            if not var.is_reduced():
                 return False
     return True
 

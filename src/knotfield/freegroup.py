@@ -97,13 +97,6 @@ class FreeWord:
         return [[g, e] for g, e in self.syllables]
 
 
-def concat(rank: int, words: Iterable[FreeWord]) -> FreeWord:
-    parts: list[Syllable] = []
-    for w in words:
-        parts.extend(w.syllables)
-    return FreeWord(rank, tuple(parts))
-
-
 @dataclass(frozen=True)
 class FreeAutomorphism:
     """An endomorphism given by the images of the generators.

@@ -5,25 +5,32 @@ coefficients.  A Laurent fraction is a polynomial numerator over a monomial
 denominator, kept in reduced form: no variable with positive denominator
 exponent divides the numerator.
 
-Heavy products and exact divisions are performed by packing polynomials
-into single big integers (one fixed-width little-endian slot per point of
-the mixed-radix exponent box) so that polynomial multiplication becomes one
-machine-level integer multiplication.  Signed inputs are split into
-positive and negative parts, multiplied as four nonnegative products, and
-recombined, which keeps slot values nonnegative and unpacking trivial.
-When both operands are homogeneous the variable with the widest exponent
-range is dropped from the box and restored from the total degree, which is
-what keeps deep cluster mutations (large homogeneous numerators) cheap.
-Exact division runs the same packing through integer divmod: a nonzero
-remainder disproves divisibility, and a zero remainder is certified by a
-coefficient-bound check (with a full re-multiplication fallback), so the
-fast path never returns an unverified quotient.  Packed images above
+Heavy products are performed by packing polynomials into single big
+integers (one fixed-width little-endian slot per point of the mixed-radix
+exponent box) so that polynomial multiplication becomes one machine-level
+integer multiplication.  Signed inputs are split into positive and negative
+parts, multiplied as four nonnegative products, and recombined, which keeps
+slot values nonnegative and unpacking trivial.  When both operands are
+homogeneous the variable with the widest exponent range is dropped from the
+box and restored from the total degree, which is what keeps deep cluster
+mutations (large homogeneous numerators) cheap.  Packed images above
 ``_PACK_BYTE_LIMIT`` fall back to direct dict arithmetic.
+
+Exact division by a non-monomial is sparse heap division (Monagan and
+Pearce, "Sparse polynomial division using a heap", 2011) in grlex order over
+signed coefficients; it touches only terms of the dividend, the divisor and
+the quotient.  ``InexactDivision`` certifies that the divisor does not divide:
+it is raised at the first remainder term whose coefficient the divisor's
+leading coefficient does not divide, or whose quotient exponent leaves the
+box ``f.max_degrees() - g.max_degrees()`` that holds every exact quotient.
+A returned quotient q satisfies q * g == f exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush, heapreplace
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NonLaurentResult
@@ -191,11 +198,7 @@ class Polynomial:
         if divisor.is_monomial():
             exps, coeff = next(iter(divisor.terms.items()))
             return self._div_monomial(exps, coeff)
-        if self.has_positive_coefficients() and divisor.has_positive_coefficients():
-            quotient = _div_packed(self, divisor)
-            if quotient is not None:
-                return quotient
-        return _div_longhand(self, divisor)
+        return _div_sparse(self, divisor)
 
     def _div_monomial(self, exps, coeff) -> "Polynomial":
         out = {}
@@ -299,13 +302,8 @@ def _unpack(value: int, slot_bytes, extents, drop, nvars, degree) -> dict:
         for extent in extents:
             rem, e = divmod(rem, extent)
             exps.append(e)
-        if rem:
-            raise InexactDivision("packed index outside the exponent box")
         if drop is not None:
-            missing = degree - sum(exps)
-            if missing < 0:
-                raise InexactDivision("degree bookkeeping failed during unpacking")
-            exps.insert(drop, missing)
+            exps.insert(drop, degree - sum(exps))
         out[tuple(exps)] = coeff
     return out
 
@@ -368,67 +366,65 @@ def _mul_dict(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(a.nvars, out)
 
 
-def _div_packed(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """Positive-coefficient fast path; None means fall back to long division."""
+def _div_sparse(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact quotient f / g for g with at least two terms: Monagan-Pearce
+    heap division in grlex order.
+
+    A monomial is one int whose base ``max(f.max_degrees()) + 1`` digits are
+    its total degree followed by its exponents, so int order is grlex order
+    and monomial products are int sums.  The heap holds the next pending
+    product q_i * g_j of each quotient term q_i.
+    """
+    n = f.nvars
     fmax = f.max_degrees()
-    gmax = g.max_degrees()
-    if any(ge > fe for fe, ge in zip(fmax, gmax)):
+    # every exact quotient lies in this box: degrees in one variable add
+    box = [a - b for a, b in zip(fmax, g.max_degrees())]
+    if min(box) < 0:
         raise InexactDivision("divisor exceeds dividend in some variable")
-    drop = _choose_drop(f, g)
-    extents = [e + 1 for i, e in enumerate(fmax) if i != drop]
-    strides = []
-    acc = 1
-    for extent in extents:
-        strides.append(acc)
-        acc *= extent
-    bound = max(f._sum_abs(), g._max_abs())
-    slot_bytes = (bound.bit_length() + 8) // 8
-    if acc * slot_bytes > _PACK_BYTE_LIMIT:
-        return None
-    packed_f = _pack(f.terms.items(), strides, slot_bytes, drop)
-    packed_g = _pack(g.terms.items(), strides, slot_bytes, drop)
-    quotient, remainder = divmod(packed_f, packed_g)
-    if remainder:
-        raise InexactDivision("division leaves a nonzero remainder")
-    degree = f.total_degree() - g.total_degree() if drop is not None else None
-    if degree is not None and degree < 0:
-        raise InexactDivision("quotient degree would be negative")
-    terms = _unpack(quotient, slot_bytes, extents, drop, f.nvars, degree)
-    q = Polynomial(f.nvars, terms)
-    # integer equality F = Q*G only certifies the polynomial identity when
-    # the convolution of q and g cannot overflow a slot
-    limit = 1 << (8 * slot_bytes)
-    if min(q._sum_abs() * g._max_abs(), q._max_abs() * g._sum_abs()) < limit:
-        return q
-    if q * g == f:
-        return q
-    raise InexactDivision("packed quotient failed verification")
-
-
-def _div_longhand(f: Polynomial, g: Polynomial) -> Polynomial:
-    def grlex(exps):
-        return (sum(exps), exps)
-
-    lead_g = max(g.terms, key=grlex)
-    coeff_g = g.terms[lead_g]
-    remainder = dict(f.terms)
-    quotient: dict[tuple[int, ...], int] = {}
-    while remainder:
-        lead_r = max(remainder, key=grlex)
-        coeff_r = remainder[lead_r]
-        exps = tuple(a - b for a, b in zip(lead_r, lead_g))
-        if any(e < 0 for e in exps) or coeff_r % coeff_g:
-            raise InexactDivision("division leaves a nonzero remainder")
-        c = coeff_r // coeff_g
-        quotient[exps] = c
-        for eg, cg in g.terms.items():
-            key = tuple(a + b for a, b in zip(exps, eg))
-            new = remainder.get(key, 0) - c * cg
-            if new:
-                remainder[key] = new
+    base = max(fmax) + 1
+    weights = [base**n + base ** (n - 1 - i) for i in range(n)]
+    fterms = sorted(((sum(map(mul, e, weights)), c) for e, c in f.terms.items()), reverse=True)
+    gterms = sorted(((sum(map(mul, e, weights)), c, e) for e, c in g.terms.items()), reverse=True)
+    gcodes = [t[0] for t in gterms]
+    gcoeffs = [t[1] for t in gterms]
+    lead_code, lead_coeff, lead = gterms[0]
+    m = len(gterms)
+    qexps: list[tuple[int, ...]] = []
+    qcodes: list[int] = []
+    qcoeffs: list[int] = []
+    heap: list[tuple[int, int, int]] = []  # (-code of q_i * g_j, i, j)
+    k = 0
+    while k < len(fterms) or heap:
+        if heap and (k == len(fterms) or -heap[0][0] > fterms[k][0]):
+            code, coeff = -heap[0][0], 0
+        else:
+            code, coeff = fterms[k]
+            k += 1
+        while heap and heap[0][0] == -code:
+            _, i, j = heap[0]
+            coeff -= qcoeffs[i] * gcoeffs[j]
+            if j + 1 < m:
+                heapreplace(heap, (-(qcodes[i] + gcodes[j + 1]), i, j + 1))
             else:
-                remainder.pop(key, None)
-    return Polynomial(f.nvars, quotient)
+                heappop(heap)
+        if not coeff:
+            continue
+        c, r = divmod(coeff, lead_coeff)
+        if r:
+            raise InexactDivision(f"coefficient {coeff} not divisible by {lead_coeff}")
+        exps = [0] * n
+        rest = code
+        for v in range(n - 1, -1, -1):
+            rest, e = divmod(rest, base)
+            e -= lead[v]
+            if not 0 <= e <= box[v]:
+                raise InexactDivision("division leaves a nonzero remainder")
+            exps[v] = e
+        qexps.append(tuple(exps))
+        qcodes.append(code - lead_code)
+        qcoeffs.append(c)
+        heappush(heap, (-(code - lead_code + gcodes[1]), len(qcodes) - 1, 1))
+    return Polynomial(n, dict(zip(qexps, qcoeffs)))
 
 
 # Laurent fractions -----------------------------------------------------------
@@ -473,10 +469,6 @@ class LaurentFraction:
     def is_reduced(self) -> bool:
         content = self.numerator.content_exponents()
         return all(d == 0 or c == 0 for c, d in zip(content, self.denominator))
-
-    def has_monomial_denominator(self) -> bool:
-        """True by representation; kept as an explicit checkable property."""
-        return all(e >= 0 for e in self.denominator)
 
     def __mul__(self, other: "LaurentFraction") -> "LaurentFraction":
         return LaurentFraction(

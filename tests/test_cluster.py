@@ -183,6 +183,24 @@ class TestSeedMutation:
         with pytest.raises(DirectionOutOfRange):
             mutate_seed(initial_seed(ExchangeMatrix(A2_MATRIX)), 5)
 
+    def test_torus_markov_invariants_to_depth_nine(self):
+        # (x1^2+x2^2+x3^2)/(x1*x2*x3) is invariant under torus mutation, so
+        # its value at a fixed point never changes and every cluster at
+        # (1,1,1) is a Markov triple a^2+b^2+c^2 = 3abc
+        point = [Fraction(1, 2), Fraction(2, 3), Fraction(3)]
+        ones = [Fraction(1)] * 3
+
+        def markov_ratio(values):
+            a, b, c = values
+            return (a * a + b * b + c * c) / (a * b * c)
+
+        seed = surface_seed(SurfaceSpec(1, 1))
+        expected = markov_ratio(point)
+        for step in range(9):
+            seed = mutate_seed(seed, 1 + step % 3)
+            assert markov_ratio([v.evaluate(ones) for v in seed.variables]) == 3
+            assert markov_ratio([v.evaluate(point) for v in seed.variables]) == expected
+
 
 class TestLaurentCheck:
     def test_pentagon_sequence(self):

@@ -1,15 +1,17 @@
-"""Exact polynomial arithmetic against a reference convolution.
+"""Exact polynomial arithmetic against reference oracles.
 
-The oracle is a test-local dict convolution and Fraction evaluation at
-random points; the packed big-integer paths in the library must agree with
-both on every randomized input, including mixed signs and the homogeneous
-fast path.
+Products are checked against a test-local dict convolution and Fraction
+evaluation at random points; the packed big-integer multiplication must
+agree with both on every randomized input, including mixed signs and the
+homogeneous fast path.  Division is checked by re-multiplying every
+quotient, and every refusal against sympy's division over the rationals.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,20 @@ def naive_mul(a: Polynomial, b: Polynomial) -> Polynomial:
             key = tuple(x + y for x, y in zip(ea, eb))
             out[key] = out.get(key, 0) + ca * cb
     return Polynomial(a.nvars, out)
+
+
+def divides_over_integers(f: Polynomial, g: Polynomial) -> bool:
+    gens = sympy.symbols(f"x1:{f.nvars + 1}")
+
+    def to_sympy(p):
+        return sympy.Poly(
+            sum(c * sympy.prod(x**e for x, e in zip(gens, exps)) for exps, c in p.terms.items()),
+            *gens,
+            domain="QQ",
+        )
+
+    quotient, remainder = to_sympy(f).div(to_sympy(g))
+    return remainder.is_zero and all(c.is_integer for c in quotient.coeffs())
 
 
 @st.composite
@@ -74,6 +90,27 @@ class TestPolynomialRing:
         assert (a * b).exact_div(a) == b
 
     @settings(max_examples=200, deadline=None)
+    @given(polynomial_pairs(), st.data())
+    def test_exact_div_is_sound(self, pair, data):
+        # a*b + r is divisible by a for some r and not for others: a
+        # quotient must re-multiply to the dividend, a refusal must be right
+        a, b = pair
+        if a.is_zero():
+            return
+        f = a * b + data.draw(polynomials(nvars=a.nvars, max_terms=2))
+        try:
+            q = f.exact_div(a)
+        except InexactDivision:
+            assert not divides_over_integers(f, a)
+        else:
+            assert q * a == f
+
+    def test_division_outside_quotient_box_fails(self):
+        x1, x2, x3 = (Polynomial.variable(i, 3) for i in (1, 2, 3))
+        with pytest.raises(InexactDivision):
+            (x1**160).exact_div(x1 - x2 - x3)
+
+    @settings(max_examples=200, deadline=None)
     @given(polynomials(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
     def test_evaluation_is_ring_hom(self, poly, point):
         values = point[: poly.nvars]
@@ -81,7 +118,8 @@ class TestPolynomialRing:
         assert square.evaluate(values) == poly.evaluate(values) ** 2
 
     def test_homogeneous_path(self):
-        # both operands homogeneous triggers the dropped-variable packing
+        # both operands homogeneous triggers the dropped-variable packing in
+        # the product; the division must undo it
         a = Polynomial(3, {(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 2})
         b = Polynomial(3, {(1, 1, 0): 1, (0, 1, 1): 5})
         assert a.is_homogeneous() and b.is_homogeneous()
