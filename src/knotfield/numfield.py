@@ -56,7 +56,9 @@ def square_free_part(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2**63 guard."""
+    """Miller-Rabin to the 12 prime bases up to 37.  Deterministic only for
+    n < 318665857834031151167461 (about 3.2e23), the least strong
+    pseudoprime to all of them (Sorenson and Webster, 2015)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -134,6 +134,21 @@ def presentation_from_letters(rank, relator_letters):
 FREE_2 = presentation_from_letters(2, [])
 TREFOIL = presentation_from_letters(2, [[1, 2, 1, -2, -1, -2]])
 TRIVIAL = presentation_from_letters(1, [[1]])
+FIGURE_EIGHT = link_group_presentation(BraidWord(3, (1, -2, 1, -2)))
+
+
+def least_renumbering(table):
+    """The least renumbering of a complete coset table over all base cosets,
+    each in row-major discovery order."""
+    variants = []
+    for base in range(len(table)):
+        order = [base]
+        for coset in order:
+            for target in table[coset]:
+                if target not in order:
+                    order.append(target)
+        variants.append(tuple(tuple(order.index(t) for t in table[c]) for c in order))
+    return min(variants)
 
 
 # -- tests --------------------------------------------------------------------
@@ -175,6 +190,15 @@ class TestKnownCounts:
         assert records[0].index == 1
 
 
+class TestFigureEight:
+    def test_counts_to_index_nine(self):
+        records = low_index_subgroups(FIGURE_EIGHT, 9)
+        classes = tuple(sum(1 for r in records if r.index == k) for k in range(1, 10))
+        normal = tuple(sum(1 for r in records if r.index == k and r.is_normal) for k in range(1, 10))
+        assert classes == (1, 1, 1, 2, 4, 11, 9, 10, 11)
+        assert normal == (1,) * 9
+
+
 class TestUnknotPresentation:
     def test_infinite_cyclic_counts(self):
         # the closure of s1 s2^-1 is unknotted, so its group is infinite cyclic:
@@ -190,7 +214,7 @@ class TestUnknotPresentation:
 
 
 class TestRecordInvariants:
-    @pytest.mark.parametrize("presentation", [TREFOIL, FREE_2])
+    @pytest.mark.parametrize("presentation", [TREFOIL, FREE_2, FIGURE_EIGHT])
     def test_relators_act_trivially(self, presentation):
         for record in low_index_subgroups(presentation, 4):
             for relator in presentation.relators:
@@ -204,10 +228,17 @@ class TestRecordInvariants:
                 column = [row[2 * g] for row in record.coset_table]
                 assert sorted(column) == list(range(record.index))
 
-    @pytest.mark.parametrize("presentation", [FREE_2, TREFOIL])
+    @pytest.mark.parametrize("presentation", [FREE_2, TREFOIL, FIGURE_EIGHT])
     def test_normality_flag_matches_oracle(self, presentation):
         for record in low_index_subgroups(presentation, 4):
             assert record.is_normal == oracle_is_normal(record, presentation)
+
+    @pytest.mark.parametrize("presentation", [FREE_2, TREFOIL, FIGURE_EIGHT])
+    def test_tables_are_least_renumberings(self, presentation):
+        records = low_index_subgroups(presentation, 4)
+        for record in records:
+            assert record.coset_table == least_renumbering(record.coset_table)
+        assert len({r.coset_table for r in records}) == len(records)
 
     def test_sorted_deterministic(self):
         once = low_index_subgroups(FREE_2, 3)
@@ -218,14 +249,16 @@ class TestRecordInvariants:
 
 class TestGuards:
     def test_budget_exceeded(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(
+            BudgetExceeded, match="node budget of 5 definitions exhausted at max_index 4"
+        ):
             low_index_subgroups(FREE_2, 4, node_budget=5)
 
     def test_index_cap(self):
         with pytest.raises(ValueError):
-            low_index_subgroups(FREE_2, 9)
+            low_index_subgroups(FREE_2, 11)
         # explicit opt-in raises the cap
-        low_index_subgroups(TRIVIAL, 9, index_cap=9)
+        low_index_subgroups(TRIVIAL, 11, index_cap=11)
 
     def test_bad_max_index(self):
         with pytest.raises(ValueError):
