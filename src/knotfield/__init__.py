@@ -57,7 +57,6 @@ from .invariant import (
     field_table,
     markov_invariance,
     monodromy,
-    sphere_invariant,
     two_generator_power_braid,
 )
 from .laurent import LaurentFraction, Polynomial
@@ -134,7 +133,6 @@ __all__ = [
     "field_of",
     "two_generator_power_braid",
     "field_table",
-    "sphere_invariant",
     "markov_invariance",
     "CorrespondenceReport",
     "correspondence_report",

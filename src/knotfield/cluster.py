@@ -12,9 +12,14 @@ arithmetic is exact integer arithmetic, and every mutated variable is again
 a Laurent fraction with monomial denominator; a division failure aborts
 with NonLaurentResult and indicates a bug, not a counterexample.
 
+Enumeration and mutation trees need only seed identity, so they run on
+tropical seeds (B, C, G) instead: B, the c-vectors (columns of C) and the
+g-vectors, relative to the start seed and mutated by integer rules alone
+(Fomin and Zelevinsky, Cluster algebras IV, 2007).
+
 Everything here is a pure function of immutable values; ``mutate_seed`` is
 memoized, which makes replaying shared prefixes of direction sequences
-(mutation trees, random property runs) cheap.
+(random property runs) cheap.
 """
 
 from __future__ import annotations
@@ -50,17 +55,8 @@ class ExchangeMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
-
     def column(self, k: int) -> tuple[int, ...]:
         return tuple(row[k - 1] for row in self.rows)
-
-    def permuted(self, perm: tuple[int, ...]) -> "ExchangeMatrix":
-        """Simultaneous row/column relabelling: new index i holds old perm[i]."""
-        return ExchangeMatrix(
-            tuple(tuple(self.rows[perm[i]][perm[j]] for j in range(self.size)) for i in range(self.size))
-        )
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
@@ -71,19 +67,32 @@ def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     size = matrix.size
     if not 1 <= k <= size:
         raise DirectionOutOfRange(f"direction {k} outside 1..{size}")
-    kk = k - 1
-    old = matrix.rows
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i == kk or j == kk:
-                row.append(-old[i][j])
-            else:
-                bump = abs(old[i][kk]) * old[kk][j] + old[i][kk] * abs(old[kk][j])
-                row.append(old[i][j] + bump // 2)
-        rows.append(tuple(row))
-    return ExchangeMatrix(tuple(rows))
+    return ExchangeMatrix(_mutate_b(matrix.rows, k - 1))
+
+
+def _mutate_rows(rows: MatrixRows, pivot: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """Rows mutated at k (0-based), with ``pivot`` = row k of B: a_ik -> -a_ik
+    and a_ij -> a_ij + (|a_ik| b_kj + a_ik |b_kj|) / 2 for j != k.  This is
+    the entry rule of the extended matrix [B; C], so it serves the rows of
+    B other than row k and the rows of C."""
+    out = []
+    for row in rows:
+        a = row[k]
+        if a == 0:
+            out.append(row)
+        else:
+            out.append(tuple(
+                -a if j == k else v + (abs(a) * p + a * abs(p)) // 2
+                for j, (v, p) in enumerate(zip(row, pivot))
+            ))
+    return out
+
+
+def _mutate_b(rows: MatrixRows, k: int) -> MatrixRows:
+    """Exchange-matrix rows mutated at k (0-based); row k is negated."""
+    out = _mutate_rows(rows, rows[k], k)
+    out[k] = tuple(-v for v in rows[k])
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -149,35 +158,27 @@ def laurent_check(seed: Seed, directions) -> bool:
     return True
 
 
-def _canonical_form(seed: Seed) -> tuple:
-    """Orbit representative under simultaneous relabelling of positions:
-    sort the variables, breaking ties by the least permuted matrix."""
-    keys = [v.key() for v in seed.variables]
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    groups: list[list[int]] = []
-    for pos in order:
-        if groups and keys[groups[-1][-1]] == keys[pos]:
-            groups[-1].append(pos)
-        else:
-            groups.append([pos])
-    best_matrix = None
-    for perm in _tie_permutations(groups):
-        candidate = seed.matrix.permuted(perm).rows
-        if best_matrix is None or candidate < best_matrix:
-            best_matrix = candidate
-    return (tuple(keys[i] for i in order), best_matrix)
+TropicalSeed = tuple[MatrixRows, MatrixRows, MatrixRows]  # (B, C rows, g-vectors)
 
 
-def _tie_permutations(groups):
-    """All position orders consistent with the sorted variable order."""
-    from itertools import permutations, product
+def _tropical_start(seed: Seed) -> TropicalSeed:
+    n = seed.rank
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return seed.matrix.rows, identity, identity
 
-    options = [list(permutations(g)) for g in groups]
-    for choice in product(*options):
-        flat = []
-        for part in choice:
-            flat.extend(part)
-        yield tuple(flat)
+
+def _mutate_tropical(seed: TropicalSeed, k: int) -> TropicalSeed:
+    """Mutation at k (0-based).  Column k of C is sign-coherent with sign
+    eps (Derksen, Weyman and Zelevinsky, 2010), and the new g-vector is
+    g'_k = -g_k + sum_i [-eps b_ik]_+ g_i; the others do not change."""
+    b, c, g = seed
+    eps = 1 if any(row[k] > 0 for row in c) else -1
+    new_g = [-v for v in g[k]]
+    for row, g_i in zip(b, g):
+        weight = -eps * row[k]
+        if weight > 0:
+            new_g = [v + weight * w for v, w in zip(new_g, g_i)]
+    return _mutate_b(b, k), tuple(_mutate_rows(c, b[k], k)), g[:k] + (tuple(new_g),) + g[k + 1 :]
 
 
 def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
@@ -185,17 +186,32 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
 
     Returns (count, finite).  If the closure has not completed once
     ``max_seeds`` distinct seeds are known, reports (max_seeds, False).
+
+    Runs on tropical seeds from ``seed.matrix`` and keys a seed by its
+    g-vectors in sorted order, together with B permuted by the same order.
+    Two keys are equal exactly when the seeds agree up to relabelling,
+    because g-vectors determine cluster variables (Derksen, Weyman and
+    Zelevinsky, 2010; Gross, Hacking, Keel and Kontsevich, 2018), the
+    exchange graph does not depend on coefficients (Cao, Huang and Li,
+    2020), and ``ExchangeMatrix`` only admits skew-symmetric B.
     """
     if max_seeds < 1:
         raise ValueError("max_seeds must be at least 1")
-    seen = {_canonical_form(seed)}
-    frontier = [seed]
+
+    def key(node: TropicalSeed) -> tuple:
+        b, _, g = node
+        order = sorted(range(len(g)), key=g.__getitem__)
+        return tuple(g[i] for i in order), tuple(tuple(b[i][j] for j in order) for i in order)
+
+    start = _tropical_start(seed)
+    seen = {key(start)}
+    frontier = [start]
     while frontier:
         next_frontier = []
         for current in frontier:
-            for k in range(1, current.rank + 1):
-                neighbour = mutate_seed(current, k)
-                form = _canonical_form(neighbour)
+            for k in range(seed.rank):
+                neighbour = _mutate_tropical(current, k)
+                form = key(neighbour)
                 if form in seen:
                     continue
                 if len(seen) >= max_seeds:
@@ -267,35 +283,36 @@ def mutation_tree(seed: Seed, depth: int, prune_backtrack: bool = False) -> Brat
     within each level; an edge of multiplicity m records m directions
     leading from a seed to the same seed one level down.  With
     ``prune_backtrack`` the immediately undoing direction is skipped.
+
+    Runs on tropical seeds from ``seed.matrix`` and keys a seed by B and
+    its labelled g-vectors, which is exact for the reasons given under
+    ``enumerate_seeds``.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > 6:
         raise BudgetExceeded(f"tree depth {depth} exceeds the node-count guard (6)")
-    levels = [[(seed, None)]]  # (seed, direction used to arrive)
+    current = [(_tropical_start(seed), None)]  # (seed, direction used to arrive)
     sizes = [1]
     matrices = []
     for _ in range(depth):
-        current = levels[-1]
-        index: dict[Seed, int] = {}
-        nxt: list[tuple[Seed, int | None]] = []
-        counts: dict[tuple[int, int], int] = {}
+        index: dict[tuple, int] = {}
+        nxt: list[tuple[TropicalSeed, int | None]] = []
+        edges: list[tuple[int, int]] = []  # (parent, child), one per direction
         for pos, (node, arrived) in enumerate(current):
-            for k in range(1, node.rank + 1):
+            for k in range(seed.rank):
                 if prune_backtrack and arrived == k:
                     continue
-                child = mutate_seed(node, k)
-                if child not in index:
-                    index[child] = len(nxt)
+                child = _mutate_tropical(node, k)
+                label = (child[0], child[2])
+                if label not in index:
+                    index[label] = len(nxt)
                     nxt.append((child, k))
-                key = (pos, index[child])
-                counts[key] = counts.get(key, 0) + 1
-        matrices.append(
-            tuple(
-                tuple(counts.get((i, j), 0) for j in range(len(nxt)))
-                for i in range(len(current))
-            )
-        )
+                edges.append((pos, index[label]))
+        rows = [[0] * len(nxt) for _ in current]
+        for i, j in edges:
+            rows[i][j] += 1
+        matrices.append(tuple(map(tuple, rows)))
         sizes.append(len(nxt))
-        levels.append(nxt)
+        current = nxt
     return BratteliDiagram(tuple(sizes), tuple(matrices))

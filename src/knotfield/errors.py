@@ -78,7 +78,8 @@ class PerfectSquare(DomainError):
 
 
 class TooLargeToFactor(DomainError):
-    """Radicand above the 2**63 trial-division guard."""
+    """Radicand above the 2**63 trial-division guard, or a primality query at
+    or above the bound where the deterministic Miller-Rabin test ends."""
 
 
 class NotPrime(DomainError):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord, closure_components, markov_conjugate
-from .cluster import enumerate_seeds, polygon_seed
 from .errors import NonHyperbolic, WrongStrandCount
 from .numfield import QuadraticField, make_field
 
@@ -153,22 +152,6 @@ def field_table(pairs) -> list[TableRow]:
             )
         )
     return rows
-
-
-@dataclass(frozen=True)
-class SphereInvariant:
-    """The integers, witnessed by finite mutation closures of polygon seeds."""
-
-    value: str
-    witnesses: tuple[tuple[int, int, bool], ...]  # (polygon size, seeds, finite)
-
-
-def sphere_invariant(polygon_sizes=(4, 5, 6), max_seeds: int = 64) -> SphereInvariant:
-    witnesses = []
-    for d in polygon_sizes:
-        count, finite = enumerate_seeds(polygon_seed(d), max_seeds)
-        witnesses.append((d, count, finite))
-    return SphereInvariant(value="Z", witnesses=tuple(witnesses))
 
 
 @dataclass(frozen=True)

@@ -86,9 +86,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -515,9 +512,6 @@ class LaurentFraction:
         lift = tuple(max(-e, 0) for e in net)
         den = tuple(max(e, 0) for e in net)
         return LaurentFraction(quotient.mul_monomial(lift), den)
-
-    def key(self) -> tuple:
-        return (self.denominator, self.numerator.key())
 
     def __eq__(self, other) -> bool:
         return (

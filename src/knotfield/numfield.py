@@ -58,9 +58,12 @@ def square_free_part(n: int) -> int:
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the 12 prime bases up to 37.  Deterministic only for
     n < 318665857834031151167461 (about 3.2e23), the least strong
-    pseudoprime to all of them (Sorenson and Webster, 2015)."""
+    pseudoprime to all of them (Sorenson and Webster, 2015); larger n
+    raise TooLargeToFactor."""
     if n < 2:
         return False
+    if n >= 318665857834031151167461:
+        raise TooLargeToFactor(f"{n} is at least 318665857834031151167461, where this test may err")
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p

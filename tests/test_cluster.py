@@ -2,7 +2,10 @@
 
 The finite-type counts are checked against an independent oracle that
 enumerates the triangulations of a convex polygon as explicit diagonal
-sets; the closure sizes must be the number of triangulations.
+sets; the closure sizes must be the number of triangulations.  Enumeration
+and mutation trees run on integer (tropical) seeds, so they are also
+checked against a polynomial oracle that mutates Laurent seeds and keys
+them by their cluster variables.
 """
 
 import itertools
@@ -13,6 +16,8 @@ import pytest
 
 from knotfield.cluster import (
     ExchangeMatrix,
+    _mutate_tropical,
+    _tropical_start,
     Seed,
     SurfaceSpec,
     enumerate_seeds,
@@ -77,6 +82,67 @@ def random_skew(rng, size, bound=3):
             rows[i][j] = v
             rows[j][i] = -v
     return ExchangeMatrix(tuple(tuple(r) for r in rows))
+
+
+# -- oracle: closure and trees over Laurent seeds ---------------------------------
+
+
+def _laurent_form(seed):
+    """Seed up to relabelling: cluster variables in sorted order, and the
+    matrix permuted by the same order (a seed never repeats a variable)."""
+    keys = [(v.denominator, v.numerator.key()) for v in seed.variables]
+    assert len(set(keys)) == len(keys)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rows = seed.matrix.rows
+    return tuple(keys[i] for i in order), tuple(tuple(rows[i][j] for j in order) for i in order)
+
+
+def laurent_closure(seed, max_seeds):
+    seen = {_laurent_form(seed)}
+    frontier = [seed]
+    while frontier:
+        next_frontier = []
+        for current in frontier:
+            for k in range(1, current.rank + 1):
+                neighbour = mutate_seed(current, k)
+                form = _laurent_form(neighbour)
+                if form in seen:
+                    continue
+                if len(seen) >= max_seeds:
+                    return max_seeds, False
+                seen.add(form)
+                next_frontier.append(neighbour)
+        frontier = next_frontier
+    return len(seen), True
+
+
+def laurent_tree(seed, depth, prune_backtrack):
+    """(level sizes, edge matrices) with exact seed dedup within levels."""
+    current = [(seed, None)]
+    sizes, matrices = [1], []
+    for _ in range(depth):
+        index, nxt, counts = {}, [], {}
+        for pos, (node, arrived) in enumerate(current):
+            for k in range(1, node.rank + 1):
+                if prune_backtrack and arrived == k:
+                    continue
+                child = mutate_seed(node, k)
+                if child not in index:
+                    index[child] = len(nxt)
+                    nxt.append((child, k))
+                counts[pos, index[child]] = counts.get((pos, index[child]), 0) + 1
+        matrices.append(
+            tuple(tuple(counts.get((i, j), 0) for j in range(len(nxt))) for i in range(len(current)))
+        )
+        sizes.append(len(nxt))
+        current = nxt
+    return tuple(sizes), tuple(matrices)
+
+
+def relabelled(seed, rng):
+    rows = seed.matrix.rows
+    perm = rng.sample(range(len(rows)), len(rows))
+    return initial_seed(ExchangeMatrix(tuple(tuple(rows[i][j] for j in perm) for i in perm)))
 
 
 # -- matrix mutation -------------------------------------------------------------
@@ -232,6 +298,11 @@ class TestEnumeration:
         assert len(polygon_triangulations(vertices)) == expected
         assert enumerate_seeds(polygon_seed(vertices), 64) == (expected, True)
 
+    @pytest.mark.parametrize("vertices", [7, 8, 9, 10])
+    def test_larger_polygons_match_triangulations(self, vertices):
+        expected = len(polygon_triangulations(vertices))
+        assert enumerate_seeds(polygon_seed(vertices), 2000) == (expected, True)
+
     def test_torus_seed_infinite(self):
         assert enumerate_seeds(surface_seed(SurfaceSpec(1, 1)), 100) == (100, False)
 
@@ -242,6 +313,67 @@ class TestEnumeration:
     def test_completion_exactly_at_bound(self):
         assert enumerate_seeds(polygon_seed(5), 5) == (5, True)
         assert enumerate_seeds(polygon_seed(5), 4) == (4, False)
+
+
+class TestAgainstLaurentOracle:
+    @pytest.mark.parametrize("vertices", [4, 5, 6, 7, 8])
+    def test_relabelled_polygons(self, vertices):
+        rng = random.Random(56 + vertices)
+        for _ in range(2):
+            seed = relabelled(polygon_seed(vertices), rng)
+            assert enumerate_seeds(seed, 10_000) == laurent_closure(seed, 10_000)
+
+    @pytest.mark.parametrize("cap", [1, 5, 100, 300])
+    def test_torus_caps(self, cap):
+        seed = surface_seed(SurfaceSpec(1, 1))
+        assert enumerate_seeds(seed, cap) == laurent_closure(seed, cap) == (cap, False)
+
+    def test_d4(self):
+        seed = initial_seed(ExchangeMatrix(((0, 1, 0, 0), (-1, 0, 1, 1), (0, -1, 0, 0), (0, -1, 0, 0))))
+        assert enumerate_seeds(seed, 10_000) == laurent_closure(seed, 10_000) == (50, True)
+
+    def test_kronecker(self):
+        seed = initial_seed(ExchangeMatrix(((0, 2), (-2, 0))))
+        assert enumerate_seeds(seed, 12) == laurent_closure(seed, 12) == (12, False)
+
+    def test_mutated_start_seed(self):
+        seed = polygon_seed(7)
+        for k in (1, 3, 2):
+            seed = mutate_seed(seed, k)
+        assert enumerate_seeds(seed, 10_000) == laurent_closure(seed, 10_000) == (42, True)
+
+    @pytest.mark.parametrize("vertices", [5, 6, 7])
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_polygon_trees(self, vertices, pruned):
+        seed = polygon_seed(vertices)
+        diagram = mutation_tree(seed, 5, pruned)
+        assert (diagram.level_sizes, diagram.edge_matrices) == laurent_tree(seed, 5, pruned)
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_torus_trees(self, pruned):
+        seed = surface_seed(SurfaceSpec(1, 1))
+        diagram = mutation_tree(seed, 6, pruned)
+        assert (diagram.level_sizes, diagram.edge_matrices) == laurent_tree(seed, 6, pruned)
+
+
+class TestTropicalSeeds:
+    def test_sign_coherence_and_duality_on_random_paths(self):
+        # every column of C is nonzero with entries of one sign, and the
+        # g-vectors are the dual basis of the c-vectors: G^T C = I
+        rng = random.Random(57)
+        for _ in range(150):
+            size = rng.randint(1, 5)
+            node = _tropical_start(initial_seed(random_skew(rng, size, bound=2)))
+            for _ in range(rng.randint(1, 8)):
+                node = _mutate_tropical(node, rng.randrange(size))
+                _, c, g = node
+                for j in range(size):
+                    column = [row[j] for row in c]
+                    assert any(column)
+                    assert all(v >= 0 for v in column) or all(v <= 0 for v in column)
+                for i in range(size):
+                    for j in range(size):
+                        assert sum(g[i][m] * c[m][j] for m in range(size)) == int(i == j)
 
 
 class TestPolygonAndSurfaceSeeds:

@@ -11,7 +11,6 @@ from knotfield.invariant import (
     field_table,
     markov_invariance,
     monodromy,
-    sphere_invariant,
     two_generator_power_braid,
 )
 
@@ -140,13 +139,6 @@ class TestPipelineConsistency:
             matrix = IncidenceMatrix(invariant.matrix.entries)
             descriptor = dimension_group(matrix)
             assert descriptor.radicand == invariant.radicand
-
-
-class TestSphereInvariant:
-    def test_value_and_witnesses(self):
-        descriptor = sphere_invariant()
-        assert descriptor.value == "Z"
-        assert descriptor.witnesses == ((4, 2, True), (5, 5, True), (6, 14, True))
 
 
 class TestMarkovInvariance:

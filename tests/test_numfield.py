@@ -135,6 +135,18 @@ class TestIsPrime:
         assert is_prime(2_147_483_647)
         assert not is_prime(2_147_483_647 * 3)
 
+    def test_refuses_at_the_deterministic_bound(self):
+        # the least strong pseudoprime to the 12 bases up to 37 is
+        # 399165290221 * 798330580441; the test must not call it prime
+        bound = 318665857834031151167461
+        assert bound == 399165290221 * 798330580441
+        with pytest.raises(TooLargeToFactor, match="318665857834031151167461"):
+            is_prime(bound)
+        with pytest.raises(TooLargeToFactor, match="318665857834031151167461"):
+            is_prime(2**89 - 1)
+        assert not is_prime(bound - 1)
+        assert is_prime(2**61 - 1)
+
 
 class TestSplitPrime:
     def test_ramified(self):
@@ -154,6 +166,10 @@ class TestSplitPrime:
         assert split_prime(make_field(17), 2).kind == SPLIT  # 1 mod 8
         assert split_prime(make_field(3), 2).kind == RAMIFIED  # even discriminant
         assert split_prime(make_field(21), 2).kind == INERT  # 21 mod 8 = 5
+
+    def test_refuses_at_the_deterministic_bound(self):
+        with pytest.raises(TooLargeToFactor, match="318665857834031151167461"):
+            split_prime(make_field(5), 318665857834031151167461)
 
     def test_not_prime(self):
         with pytest.raises(NotPrime):
