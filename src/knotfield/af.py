@@ -4,8 +4,9 @@ Perron-Frobenius analysis, and the dimension-group descriptor.
 A stationary diagram is represented by its single incidence matrix plus a
 level count used only for rendering; the infinite diagram itself carries no
 more information than the matrix.  Exact arithmetic is provided for sizes
-one and two (rational numbers and quadratic surds); larger matrices get a
-floating eigenvalue from power iteration with a stated tolerance.
+one and two (rational numbers and quadratic surds), and their float is the
+exact value rounded; larger matrices get a floating eigenvalue from power
+iteration with a stated tolerance.
 """
 
 from __future__ import annotations
@@ -153,7 +154,22 @@ class QuadraticSurd:
         return QuadraticSurd(add // g, coeff // g, radicand, div // g)
 
     def value(self) -> float:
-        return (self.add + self.coeff * math.sqrt(self.radicand)) / self.div
+        """The nearest float.  sqrt(coeff**2 * radicand) is bracketed by
+        integer square roots at scale 2**-shift, refined until both ends
+        round alike; that ends, as an irrational value is never a tie."""
+        sign = -1 if self.coeff < 0 else 1
+        n = self.coeff * self.coeff * self.radicand
+        shift = 64
+        while True:
+            scaled = n << (2 * shift)
+            root = math.isqrt(scaled)
+            lower = ((self.add << shift) + sign * root) / (self.div << shift)
+            if root * root == scaled:
+                return lower
+            upper = ((self.add << shift) + sign * (root + 1)) / (self.div << shift)
+            if lower == upper:
+                return lower
+            shift *= 2
 
     def __str__(self) -> str:
         root = f"sqrt({self.radicand})"
@@ -209,7 +225,6 @@ def perron(matrix: IncidenceMatrix) -> PerronData:
     if not matrix.is_primitive():
         raise NotPrimitive("no power of the matrix is strictly positive")
     poly = char_poly(matrix)
-    value = _power_iteration(matrix)
     if matrix.size == 1:
         lam = matrix.entries[0][0]
         return PerronData(float(lam), Fraction(lam), poly, (-lam, 1), 1)
@@ -220,9 +235,10 @@ def perron(matrix: IncidenceMatrix) -> PerronData:
         root = math.isqrt(disc) if disc >= 0 else None
         if root is not None and root * root == disc:
             lam = Fraction(t + root, 2)
-            return PerronData(value, lam, poly, (-lam.numerator, lam.denominator), 1)
+            return PerronData(float(lam), lam, poly, (-lam.numerator, lam.denominator), 1)
         exact = QuadraticSurd.make(t, 1, disc, 2)
-        return PerronData(value, exact, poly, poly, 2)
+        return PerronData(exact.value(), exact, poly, poly, 2)
+    value = _power_iteration(matrix)
     min_poly, degree = _peel_integer_roots(poly, value)
     return PerronData(value, None, poly, min_poly, degree)
 

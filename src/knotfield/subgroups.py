@@ -9,11 +9,21 @@ coset reached from c by g.
 Search discipline: the first undefined entry in row-major scan order gets
 defined next, trying every existing coset whose matching inverse slot is
 free and then a single brand-new coset.  New cosets therefore enter in scan
-order, which gives every subgroup exactly one completed table.  After each
-definition, every relator is scanned at every coset from both ends; a scan
-meeting in the middle with one missing edge fills that edge (a deduction),
-and a scan meeting with a mismatch kills the branch.  In this strict search
-there are no coset coincidences: tables only grow or die.
+order, which gives every subgroup exactly one completed table.  A scan
+traces a relator from a coset at both ends; meeting in the middle with one
+missing edge fills that edge (a deduction), and meeting with a mismatch
+kills the branch.  In this strict search there are no coset coincidences:
+tables only grow or die.
+
+Deductions are processed Felsch-style from a queue (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005, 5.1).  Every
+parent table is closed, so a scan can only change where an edge on its
+path is new; both halves of every new edge enter the queue, and each entry
+(alpha, col) scans, from alpha, the cyclic rotations of the relators that
+start with column col.  As the table is a partial permutation, a cycle
+that fails from one of its cosets fails from all of them, so this reaches
+the same closed table, or the same dead end, as rescanning every relator
+at every coset, and the search tree is unchanged.
 
 Conjugate subgroups differ only by the choice of base coset: renumbering
 a table from base b in the same row-major discovery order gives the table
@@ -66,11 +76,19 @@ def low_index_subgroups(
         )
     ncols = 2 * presentation.generator_count
     relator_cols = [_word_to_cols(r.letters()) for r in presentation.relators]
+    rotations: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
+    for word in relator_cols:
+        for k, col in enumerate(word):
+            rotations[col].append(word[k:] + word[:k])
+    # a one-letter relator passes through no edge of a fresh coset, so it is
+    # scanned from every queue entry instead
+    singles = [word for word in relator_cols if len(word) == 1]
+    rotations = [list(dict.fromkeys(words + singles)) for words in rotations]
 
     records: list[SubgroupRecord] = []
     budget = [node_budget, node_budget]  # remaining, total
     table: list[list[int | None]] = [[None] * ncols]
-    _search(table, relator_cols, max_index, budget, records)
+    _search(table, rotations, max_index, budget, records)
     records.sort(key=lambda r: (r.index, r.coset_table))
     return records
 
@@ -80,7 +98,7 @@ def _word_to_cols(letters: list[int]) -> tuple[int, ...]:
     return tuple(2 * (abs(k) - 1) + (0 if k > 0 else 1) for k in letters)
 
 
-def _search(table, relators, max_index, budget, out):
+def _search(table, rotations, max_index, budget, out):
     normal = _minimal(table)
     if normal is None:
         return
@@ -103,8 +121,8 @@ def _search(table, relators, max_index, budget, out):
         if new_row:
             table.append([None] * len(table[0]))
         _define(table, alpha, col, beta, trail)
-        if _close_under_relators(table, relators, trail):
-            _search(table, relators, max_index, budget, out)
+        if _close_under_relators(table, rotations, trail):
+            _search(table, rotations, max_index, budget, out)
         for a, c in reversed(trail):
             table[a][c] = None
         if new_row:
@@ -127,23 +145,21 @@ def _define(table, alpha, col, beta, trail):
         trail.append((beta, col ^ 1))
 
 
-def _close_under_relators(table, relators, trail) -> bool:
-    """Scan every relator at every coset, filling forced edges, until either
-    a fixpoint is reached (True) or a scan mismatches (False)."""
-    changed = True
-    while changed:
-        changed = False
-        for word in relators:
-            for start in range(len(table)):
-                status = _scan(table, start, word, trail)
-                if status == "dead":
-                    return False
-                if status == "deduced":
-                    changed = True
+def _close_under_relators(table, rotations, trail) -> bool:
+    """Walk ``trail`` as a deduction queue: for each entry (alpha, col),
+    scan every relator rotation in ``rotations[col]`` from alpha.
+    Deductions append to ``trail`` and are reached in turn.  False at the
+    first mismatch, True once the queue is drained."""
+    for alpha, col in trail:
+        for word in rotations[col]:
+            if not _scan(table, alpha, word, trail):
+                return False
     return True
 
 
-def _scan(table, start, word, trail):
+def _scan(table, start, word, trail) -> bool:
+    """Trace ``word`` from ``start`` at both ends, filling the edge between
+    them when exactly one is missing; False on a mismatch."""
     length = len(word)
     f = start
     i = 0
@@ -151,21 +167,20 @@ def _scan(table, start, word, trail):
         f = table[f][word[i]]
         i += 1
     if i == length:
-        return "ok" if f == start else "dead"
+        return f == start
     b = start
     j = length
     while j > i and table[b][word[j - 1] ^ 1] is not None:
         b = table[b][word[j - 1] ^ 1]
         j -= 1
     if j == i:
-        return "ok" if f == b else "dead"
+        return f == b
     if j == i + 1:
         # one missing edge with both endpoints known: forced definition
         if table[b][word[i] ^ 1] is not None and table[b][word[i] ^ 1] != f:
-            return "dead"
+            return False
         _define(table, f, word[i], b, trail)
-        return "deduced"
-    return "ok"
+    return True
 
 
 def _minimal(table):

@@ -1,9 +1,8 @@
 """Incidence matrices, Bratteli diagrams, Perron data, dimension groups.
 
-Floating eigenvalues are cross-checked against numpy's dense eigensolver;
-exact surds are independent of the float path (quadratic formula on the
-exact characteristic polynomial vs. power iteration), so agreement within
-1e-10 exercises both.
+Floating eigenvalues of size >= 3 are cross-checked against numpy's dense
+eigensolver.  Sizes one and two take their float from the exact value,
+which must be the nearest float to sympy's high-precision evaluation.
 """
 
 import math
@@ -84,6 +83,22 @@ class TestQuadraticSurd:
         surd = QuadraticSurd.make(3, 1, 5, 2)
         assert abs(surd.value() - (3 + math.sqrt(5)) / 2) < 1e-15
 
+    def test_value_is_the_nearest_float(self):
+        rng = random.Random(64)
+        # Pell-type near-cancellations, then random surds
+        surds = [QuadraticSurd(-1351, 780, 3, 1), QuadraticSurd(18817, -10864, 3, 7)]
+        for _ in range(200):
+            radicand = rng.randint(2, 10 ** rng.randint(1, 30))
+            if math.isqrt(radicand) ** 2 == radicand:
+                continue
+            bound = 10 ** rng.randint(0, 20)
+            coeff = rng.choice([-1, 1]) * rng.randint(1, bound)
+            surds.append(QuadraticSurd(rng.randint(-bound, bound), coeff, radicand, rng.randint(1, bound)))
+        for s in surds:
+            exact = (s.add + s.coeff * sympy.sqrt(s.radicand)) / s.div
+            # a 60-digit decimal string parses to the nearest float
+            assert s.value() == float(str(sympy.N(exact, 60))), s
+
     def test_str(self):
         assert str(QuadraticSurd.make(3, 1, 5, 2)) == "(3+sqrt(5))/2"
         assert str(QuadraticSurd.make(2, 1, 3, 1)) == "(2+sqrt(3))"
@@ -144,6 +159,33 @@ class TestPerron:
                 assert abs(data.eigenvalue - data.exact.value()) < 1e-10
             else:
                 assert abs(data.eigenvalue - float(data.exact)) < 1e-10
+
+
+class TestRankTwoFloats:
+    """Sizes one and two take their float from the exact value."""
+
+    def test_rational_root_is_exact(self):
+        data = perron(IncidenceMatrix(((1000000007, 3), (5, 1000000009))))
+        assert data.exact == Fraction(1000000012)
+        assert data.eigenvalue == 1000000012.0
+
+    def test_random_primitive_against_sympy(self):
+        rng = random.Random(63)
+        checked = 0
+        while checked < 60:
+            # af._square_part trial-divides the discriminant, so keep it small
+            bound = 10 ** rng.randint(1, 5)
+            rows = tuple(tuple(rng.randint(0, bound) for _ in range(2)) for _ in range(2))
+            matrix = IncidenceMatrix(rows)
+            if not matrix.is_primitive():
+                continue
+            data = perron(matrix)
+            spectral = max(sympy.Matrix(rows).eigenvals(), key=lambda v: sympy.N(v, 30))
+            expected = sympy.N(spectral, 30)
+            assert abs(data.eigenvalue - expected) <= 1e-15 * expected, rows
+            # and it is the nearest float, not just a close one
+            assert data.eigenvalue == float(str(sympy.N(spectral, 60))), rows
+            checked += 1
 
 
 class TestDimensionGroup:

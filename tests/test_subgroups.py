@@ -5,7 +5,8 @@ group correspond to transitive actions on {0..k-1} up to relabelling, so
 for small k we enumerate all generator-image tuples in the symmetric group
 directly, filter by the relators and transitivity, and count orbits under
 simultaneous conjugation.  Normality is cross-checked by conjugating
-Schreier generators of the subgroup.
+Schreier generators of the subgroup.  The search tree itself is checked
+against a copy of the closure that rescans every relator at every coset.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import pytest
 from knotfield.artin import GroupPresentation, link_group_presentation
 from knotfield.braid import BraidWord
 from knotfield.errors import BudgetExceeded
+from knotfield import subgroups
 from knotfield.freegroup import FreeWord
 from knotfield.subgroups import SubgroupRecord, low_index_subgroups, trace_word
 
@@ -125,6 +127,59 @@ def oracle_is_normal(record: SubgroupRecord, presentation: GroupPresentation) ->
     return True
 
 
+def full_rescan_closure(presentation, calls):
+    """The closure the deduction queue replaced: scan every relator at every
+    coset until nothing changes.  ``calls[0]`` counts the definitions tried,
+    which is what the node budget counts."""
+    words = [
+        tuple(2 * (abs(k) - 1) + (0 if k > 0 else 1) for k in r.letters())
+        for r in presentation.relators
+    ]
+
+    def define(table, alpha, col, beta, trail):
+        table[alpha][col] = beta
+        trail.append((alpha, col))
+        if table[beta][col ^ 1] is None:
+            table[beta][col ^ 1] = alpha
+            trail.append((beta, col ^ 1))
+
+    def scan(table, start, word, trail):
+        length = len(word)
+        f, i = start, 0
+        while i < length and table[f][word[i]] is not None:
+            f = table[f][word[i]]
+            i += 1
+        if i == length:
+            return "ok" if f == start else "dead"
+        b, j = start, length
+        while j > i and table[b][word[j - 1] ^ 1] is not None:
+            b = table[b][word[j - 1] ^ 1]
+            j -= 1
+        if j == i:
+            return "ok" if f == b else "dead"
+        if j == i + 1:
+            if table[b][word[i] ^ 1] is not None and table[b][word[i] ^ 1] != f:
+                return "dead"
+            define(table, f, word[i], b, trail)
+            return "deduced"
+        return "ok"
+
+    def close(table, _rotations, trail):
+        calls[0] += 1
+        changed = True
+        while changed:
+            changed = False
+            for word in words:
+                for start in range(len(table)):
+                    status = scan(table, start, word, trail)
+                    if status == "dead":
+                        return False
+                    changed = changed or status == "deduced"
+        return True
+
+    return close
+
+
 def presentation_from_letters(rank, relator_letters):
     return GroupPresentation(
         rank, tuple(FreeWord.from_letters(rank, ls) for ls in relator_letters)
@@ -197,6 +252,54 @@ class TestFigureEight:
         normal = tuple(sum(1 for r in records if r.index == k and r.is_normal) for k in range(1, 10))
         assert classes == (1, 1, 1, 2, 4, 11, 9, 10, 11)
         assert normal == (1,) * 9
+
+
+class TestDeductionQueue:
+    """The queue rescans only the relator rotations through new edges; it
+    must reach the same tables and try the same definitions as a full
+    rescan."""
+
+    CORPUS = [
+        (FIGURE_EIGHT, 7),
+        (link_group_presentation(BraidWord(3, (1, 1, -2, -2))), 5),
+        (link_group_presentation(BraidWord(3, (-1, 2, -1, 2, 2))), 4),
+        (TREFOIL, 5),
+        (FREE_2, 4),
+        # one-letter relators and proper powers
+        (TRIVIAL, 3),
+        (presentation_from_letters(2, [[2]]), 4),
+        (presentation_from_letters(2, [[1, 2, -1, -2], [2]]), 4),
+        (presentation_from_letters(1, [[1] * 6]), 7),
+        (presentation_from_letters(2, [[1, 1], [2, 2, 2]]), 5),
+    ]
+
+    @pytest.mark.parametrize("presentation, max_index", CORPUS)
+    def test_same_records_and_nodes_as_full_rescan(self, presentation, max_index, monkeypatch):
+        expected = low_index_subgroups(presentation, max_index)
+        calls = [0]
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                subgroups, "_close_under_relators", full_rescan_closure(presentation, calls)
+            )
+            assert low_index_subgroups(presentation, max_index) == expected
+        nodes = calls[0]
+        with pytest.raises(BudgetExceeded):
+            low_index_subgroups(presentation, max_index, node_budget=nodes - 1)
+        assert low_index_subgroups(presentation, max_index, node_budget=nodes) == expected
+
+    def test_proper_power_gives_one_normal_class_per_divisor(self):
+        # <x1 | x1^6> is cyclic of order 6: one subgroup per divisor
+        records = low_index_subgroups(presentation_from_letters(1, [[1] * 6]), 7, index_cap=7)
+        assert [r.index for r in records] == [1, 2, 3, 6]
+        assert all(r.is_normal for r in records)
+
+    def test_free_product_of_cyclic_groups_matches_oracle(self):
+        # <x1, x2 | x1^2, x2^3>: x1 is an involution, so edges with alpha == beta occur
+        pres = presentation_from_letters(2, [[1, 1], [2, 2, 2]])
+        records = low_index_subgroups(pres, 5)
+        for k in range(1, 6):
+            ours = len([r for r in records if r.index == k])
+            assert ours == oracle_class_count(pres, k), f"index {k}"
 
 
 class TestUnknotPresentation:
