@@ -3,10 +3,11 @@ Perron-Frobenius analysis, and the dimension-group descriptor.
 
 A stationary diagram is represented by its single incidence matrix plus a
 level count used only for rendering; the infinite diagram itself carries no
-more information than the matrix.  Exact arithmetic is provided for sizes
-one and two (rational numbers and quadratic surds), and their float is the
-exact value rounded; larger matrices get a floating eigenvalue from power
-iteration with a stated tolerance.
+more information than the matrix.  Sizes one and two get an exact Perron
+root (rational or a quadratic surd) and its float is that value rounded.
+Larger matrices get the nearest float, certified by a Sturm bracket, and
+the characteristic polynomial with its integer roots peeled as minimal
+polynomial.  All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DeadVertex, NoConvergence, NotPrimitive
+from .errors import DeadVertex, NotPrimitive
 
 Matrix = tuple[tuple[int, ...], ...]
-
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 100_000
 
 
 def _as_matrix(rows) -> Matrix:
@@ -54,7 +52,7 @@ class IncidenceMatrix:
         return sum(self.entries[i][i] for i in range(self.size))
 
     def determinant(self) -> int:
-        return _det(self.entries)
+        return (-1) ** self.size * char_poly(self)[0]
 
     def has_dead_vertex(self) -> bool:
         size = self.size
@@ -63,73 +61,44 @@ class IncidenceMatrix:
         return dead_row or dead_col
 
     def is_primitive(self) -> bool:
-        """Some power is strictly positive; checked up to the Wielandt bound
-        (size-1)**2 + 1 on boolean matrices."""
-        size = self.size
-        current = tuple(tuple(1 if v else 0 for v in row) for row in self.entries)
-        step = current
-        for _ in range((size - 1) ** 2 + 1):
-            if all(all(v for v in row) for row in current):
-                return True
-            current = _bool_mul(current, step)
-        return all(all(v for v in row) for row in current)
+        """Strongly connected with period 1 (Denardo 1977): searches from
+        vertex 0 along and against the edges reach every vertex, and the
+        gcd of level[u] + 1 - level[w] over edges u -> w is 1."""
+        level = _bfs_levels(self.entries)
+        if len(level) < self.size or len(_bfs_levels(tuple(zip(*self.entries)))) < self.size:
+            return False
+        edges = ((u, w) for u, row in enumerate(self.entries) for w, v in enumerate(row) if v)
+        return math.gcd(*(level[u] + 1 - level[w] for u, w in edges)) == 1
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "matrix": [list(r) for r in self.entries]}
 
 
-def _bool_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(1 if any(a[i][k] and b[k][j] for k in range(n)) else 0 for j in range(n))
-        for i in range(n)
-    )
-
-
-def _det(mat) -> int:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = 0
-    for j in range(n):
-        if mat[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _det(minor)
-    return total
+def _bfs_levels(rows) -> dict[int, int]:
+    """Breadth-first level of each vertex reachable from vertex 0 along nonzero entries."""
+    level = {0: 0}
+    queue = [0]
+    for u in queue:
+        for w, v in enumerate(rows[u]):
+            if v and w not in level:
+                level[w] = level[u] + 1
+                queue.append(w)
+    return level
 
 
 def char_poly(matrix: IncidenceMatrix) -> tuple[int, ...]:
-    """Coefficients of det(xI - A), lowest degree first, via the
-    Faddeev-LeVerrier recurrence in exact rational arithmetic."""
-    n = matrix.size
-    a = [[Fraction(v) for v in row] for row in matrix.entries]
-    coeffs = [Fraction(1)]  # leading coefficient of x^n
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # M_k = A*M_{k-1} + c_{n-k+1} * I
-        if k > 1:
-            m = _mat_mul_frac(a, m)
-        else:
-            m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] += coeffs[-1]
-        am = _mat_mul_frac(a, m)
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(c)
-    ints = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("characteristic polynomial came out non-integer")
-        ints.append(int(c))
-    return tuple(reversed(ints))  # low -> high
-
-
-def _mat_mul_frac(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    """Coefficients of det(xI - A), lowest degree first, by Berkowitz's
+    division-free recurrence (IPL 1984) over leading principal submatrices."""
+    a = matrix.entries
+    poly = [1]  # highest degree first
+    for k in range(matrix.size):
+        row, column = a[k][:k], [a[i][k] for i in range(k)]
+        toeplitz = [1, -a[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(r * c for r, c in zip(row, column)))
+            column = [sum(x * c for x, c in zip(a[i], column)) for i in range(k)]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return tuple(reversed(poly))
 
 
 @dataclass(frozen=True)
@@ -197,10 +166,11 @@ class PerronData:
     """Spectral radius of a primitive incidence matrix.
 
     ``exact`` is a Fraction (degree 1) or QuadraticSurd (degree 2) for sizes
-    one and two, and None in the floating regime.  ``degree`` is the degree
-    of the reported minimal polynomial; for size >= 3 reducibility beyond
-    integer roots is not detected, so the reported polynomial may be a
-    proper multiple of the true minimal polynomial.
+    one and two, and None for size >= 3, where ``eigenvalue`` is the nearest
+    float, certified by a Sturm bracket, and the minimal polynomial is the
+    characteristic polynomial with its integer roots peeled (x - rho when
+    rho is one).  No other factor is split off, so it may be a proper
+    multiple of the true minimal polynomial; ``degree`` is its degree.
     """
 
     eigenvalue: float
@@ -230,83 +200,107 @@ def perron(matrix: IncidenceMatrix) -> PerronData:
         return PerronData(float(lam), Fraction(lam), poly, (-lam, 1), 1)
     if matrix.size == 2:
         t = matrix.trace()
-        det = matrix.determinant()
-        disc = t * t - 4 * det
+        disc = t * t - 4 * poly[0]
         root = math.isqrt(disc) if disc >= 0 else None
         if root is not None and root * root == disc:
             lam = Fraction(t + root, 2)
             return PerronData(float(lam), lam, poly, (-lam.numerator, lam.denominator), 1)
         exact = QuadraticSurd.make(t, 1, disc, 2)
         return PerronData(exact.value(), exact, poly, poly, 2)
-    value = _power_iteration(matrix)
-    min_poly, degree = _peel_integer_roots(poly, value)
-    return PerronData(value, None, poly, min_poly, degree)
+    # rho is the largest real root of poly, a simple one, and lies in the
+    # Collatz-Wielandt bracket [min row sum, max row sum]; poly is monic, so
+    # a rho that is not an integer is irrational.  A repeated root zeroes
+    # every term of Sturm's sequence, so count on the square-free part.
+    sturm = _sturm(poly)
+    if len(sturm[-1]) > 1:
+        sturm = _sturm(_deflate(poly, sturm[-1])[0])
+    sums = [sum(row) for row in matrix.entries]
+    top = max(sums)
+    above = _variations(sturm, top)
+    roots = _integer_roots(sturm, -top - 1, top)
+    if roots and _variations(sturm, roots[0]) == above:
+        return PerronData(float(roots[0]), None, poly, (-roots[0], 1), 1)
+    min_poly = poly
+    for root in roots:
+        while _eval_poly(min_poly, root) == 0:
+            min_poly = _deflate(min_poly, (-root, 1))[0]
+    value = _nearest_float(sturm, min(sums), top, above)
+    return PerronData(value, None, poly, min_poly, len(min_poly) - 1)
 
 
-def _power_iteration(matrix: IncidenceMatrix) -> float:
-    n = matrix.size
-    vec = [1.0] * n
-    estimate = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        nxt = [sum(matrix.entries[i][j] * vec[j] for j in range(n)) for i in range(n)]
-        norm = max(abs(v) for v in nxt)
-        if norm == 0:
-            raise NoConvergence("matrix annihilated the positive cone")
-        nxt = [v / norm for v in nxt]
-        if abs(norm - estimate) <= _POWER_TOL * max(1.0, abs(norm)):
-            return norm
-        estimate = norm
-        vec = nxt
-    raise NoConvergence(
-        f"power iteration did not reach {_POWER_TOL} within {_POWER_MAX_ITER} iterations"
-    )
+def _sturm(poly: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Sturm's sequence poly, poly', -rem, ..., each later term divided by
+    its content; the last is gcd(poly, poly') up to sign.  For square-free
+    poly, the sign changes at x minus those at y count the roots in (x, y]."""
+    seq, rest = [poly], [-i * c for i, c in enumerate(poly)][1:]
+    while rest:
+        content = math.gcd(*rest)  # positive, so signs are kept
+        seq.append(tuple(-c // content for c in rest))
+        rest = _deflate(seq[-2], seq[-1])[1]
+    return seq
 
 
-def _peel_integer_roots(poly: tuple[int, ...], value: float) -> tuple[tuple[int, ...], int]:
-    """Deflate integer roots; if the eigenvalue is one of them, return the
-    linear factor, otherwise the deflated polynomial."""
-    coeffs = list(poly)
-    while len(coeffs) > 2:
-        root = _find_integer_root(coeffs)
-        if root is None:
-            break
-        if abs(value - root) < 1e-6:
-            return (-root, 1), 1
-        coeffs = _deflate(coeffs, root)
-    return tuple(coeffs), len(coeffs) - 1
+def _deflate(coeffs, factor) -> tuple[tuple[int, ...], list[int]]:
+    """Pseudo-division (quotient, rest): lead**(2k) * coeffs equals
+    quotient * factor + rest, with lead leading factor and rest stripped and
+    shorter than factor.  It is exact division when lead is 1 or -1."""
+    lead = factor[-1]
+    rest, quotient = list(coeffs), []
+    while len(rest) >= len(factor):
+        top = lead * rest.pop()
+        shift = len(rest) + 1 - len(factor)
+        rest = [lead * lead * c for c in rest]
+        quotient = [lead * lead * c for c in quotient] + [top]
+        for i, c in enumerate(factor[:-1]):
+            rest[shift + i] -= top * c
+    while rest and rest[-1] == 0:
+        rest.pop()
+    return tuple(reversed(quotient)), rest
 
 
-def _find_integer_root(coeffs) -> int | None:
-    constant = coeffs[0]
-    if constant == 0:
-        return 0
-    for candidate in _divisors(abs(constant)):
-        for root in (candidate, -candidate):
-            if _eval_poly(coeffs, root) == 0:
-                return root
-    return None
-
-
-def _divisors(n: int):
-    for d in range(1, n + 1):
-        if n % d == 0:
-            yield d
-
-
-def _eval_poly(coeffs, x):
-    total = 0
+def _eval_poly(coeffs, num: int, den: int = 1) -> int:
+    """den**degree * p(num / den), by Horner's rule on integers."""
+    total, scale = 0, 1
     for c in reversed(coeffs):
-        total = total * x + c
+        total = total * num + c * scale
+        scale *= den
     return total
 
 
-def _deflate(coeffs, root):
-    # synthetic division by (x - root), highest degree first internally
-    high_first = list(reversed(coeffs))
-    out = [high_first[0]]
-    for c in high_first[1:-1]:
-        out.append(c + root * out[-1])
-    return tuple(reversed(out))
+def _variations(sturm, num: int, den: int = 1) -> int:
+    """Sign changes along the Sturm sequence at num / den, zeros skipped."""
+    signs = [v > 0 for v in (_eval_poly(p, num, den) for p in sturm) if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _integer_roots(sturm, lo: int, hi: int) -> list[int]:
+    """Integer roots of sturm[0] in (lo, hi], largest first: intervals that
+    hold a root are halved to width 1, and their one integer tested exactly."""
+    roots, stack = [], [(lo, hi)]
+    while stack:
+        lo, hi = stack.pop()
+        if _variations(sturm, lo) == _variations(sturm, hi):
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            stack += [(lo, mid), (mid, hi)]
+        elif _eval_poly(sturm[0], hi) == 0:
+            roots.append(hi)
+    return roots
+
+
+def _nearest_float(sturm, lo: int, hi: int, above: int) -> float:
+    """Nearest float to the largest root of sturm[0], irrational, in (lo, hi]
+    and with ``above`` sign changes above it: bisect until both ends of
+    (lo, hi] / 2**shift round alike, which ends, as a tie is rational."""
+    shift = 0
+    while lo / (1 << shift) != hi / (1 << shift):
+        lo, hi, mid, shift = 2 * lo, 2 * hi, lo + hi, shift + 1
+        if _variations(sturm, mid, 1 << shift) > above:
+            lo = mid
+        else:
+            hi = mid
+    return hi / (1 << shift)
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,6 @@ class NotPrimitive(DomainError):
     """No power of the incidence matrix is strictly positive."""
 
 
-class NoConvergence(DomainError):
-    """Power iteration failed to reach the requested tolerance."""
-
-
 # number fields -------------------------------------------------------------
 
 class PerfectSquare(DomainError):

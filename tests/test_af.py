@@ -1,10 +1,14 @@
 """Incidence matrices, Bratteli diagrams, Perron data, dimension groups.
 
-Floating eigenvalues of size >= 3 are cross-checked against numpy's dense
-eigensolver.  Sizes one and two take their float from the exact value,
-which must be the nearest float to sympy's high-precision evaluation.
+Every Perron float must be the nearest float to sympy's largest real root
+of the characteristic polynomial; floats of size >= 3 are also checked
+against numpy's dense eigensolver on a seeded sparse corpus.  The integer
+algorithms are checked against simpler reference algorithms kept here:
+Faddeev-LeVerrier over rationals, boolean matrix powers up to Wielandt's
+bound, and integer roots peeled one at a time.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -25,6 +29,83 @@ from knotfield.af import (
 )
 from knotfield.cluster import SurfaceSpec, mutation_tree, surface_seed
 from knotfield.errors import DeadVertex, NotPrimitive
+
+_GRID = [(pp, qq) for pp in range(1, 21) for qq in range(1, 21)]
+
+
+def _sympy_nearest(rows) -> float:
+    """The float nearest sympy's largest real root of the characteristic
+    polynomial; a 60-digit decimal string parses to the nearest float."""
+    x = sympy.Symbol("x")
+    root = max(sympy.Poly(sympy.Matrix(rows).charpoly(x), x).real_roots())
+    return float(str(sympy.N(root, 60)))
+
+
+def _numpy_radius(rows) -> float:
+    return max(abs(np.linalg.eigvals(np.array(rows, dtype=float))))
+
+
+def _reference_char_poly(rows) -> tuple[int, ...]:
+    """Faddeev-LeVerrier over the rationals, lowest degree first:
+    M_k = A M_(k-1) + c I, and the next coefficient is -trace(A M_k) / k."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] for row in rows]
+    coeffs = [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [
+            [sum(a[i][l] * m[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        coeffs.append(-sum(a[i][l] * m[l][i] for i in range(n) for l in range(n)) / k)
+    return tuple(int(c) for c in reversed(coeffs))
+
+
+def _reference_is_primitive(rows) -> bool:
+    """Some boolean power up to Wielandt's bound (n-1)**2 + 1 is all true."""
+    n = len(rows)
+    step = [[v > 0 for v in row] for row in rows]
+    power = step
+    for _ in range((n - 1) ** 2):
+        if all(map(all, power)):
+            return True
+        power = [[any(p and s[j] for p, s in zip(prow, step)) for j in range(n)] for prow in power]
+    return all(map(all, power))
+
+
+def _reference_min_polynomial(poly, value) -> tuple[int, ...]:
+    """Peel integer roots one at a time, each found among the divisors of
+    the constant term, until the one within 1e-6 of ``value``."""
+    coeffs = list(poly)
+    while len(coeffs) > 2:
+        c0 = coeffs[0]
+        candidates = [0] if c0 == 0 else [s * d for d in range(1, abs(c0) + 1) if c0 % d == 0 for s in (1, -1)]
+        root = next((r for r in candidates if sum(c * r**i for i, c in enumerate(coeffs)) == 0), None)
+        if root is None:
+            break
+        if abs(value - root) < 1e-6:
+            return (-root, 1)
+        high = coeffs[::-1]
+        quotient = [high[0]]
+        for c in high[1:-1]:
+            quotient.append(c + root * quotient[-1])
+        coeffs = quotient[::-1]
+    return tuple(coeffs)
+
+
+@functools.cache
+def _sparse_corpus():
+    """(draws, primitive draws): seeded sparse matrices of sizes 3-8, drawn
+    until 200 are primitive."""
+    rng = random.Random(65)
+    draws, primitive = [], []
+    while len(primitive) < 200:
+        n = rng.randint(3, 8)
+        rows = tuple(tuple(rng.choice((0, 0, 0, 1, 1, 2)) for _ in range(n)) for _ in range(n))
+        draws.append(rows)
+        if _reference_is_primitive(rows):
+            primitive.append(rows)
+    return draws, primitive
 
 
 class TestIncidenceMatrix:
@@ -72,6 +153,7 @@ class TestCharPoly:
             ours = char_poly(IncidenceMatrix(rows))
             theirs = sympy.Matrix(rows).charpoly().all_coeffs()  # high -> low
             assert list(ours) == [int(c) for c in reversed(theirs)]
+            assert IncidenceMatrix(rows).determinant() == sympy.Matrix(rows).det()
 
 
 class TestQuadraticSurd:
@@ -126,13 +208,10 @@ class TestPerron:
         with pytest.raises(NotPrimitive):
             perron(IncidenceMatrix(((2, 0), (0, 3))))
 
-    def test_exact_vs_float_on_grid(self):
-        for pp in range(1, 21):
-            for qq in range(1, 21):
-                data = perron(IncidenceMatrix(((pp * qq + 1, pp), (qq, 1))))
-                expected = QuadraticSurd.make(pp * qq + 2, 1, pp * qq * (pp * qq + 4), 2)
-                assert data.exact == expected
-                assert abs(data.eigenvalue - expected.value()) < 1e-10
+    def test_exact_on_grid(self):
+        for pp, qq in _GRID:
+            data = perron(IncidenceMatrix(((pp * qq + 1, pp), (qq, 1))))
+            assert data.exact == QuadraticSurd.make(pp * qq + 2, 1, pp * qq * (pp * qq + 4), 2)
 
     def test_rational_perron_of_reducible_poly(self):
         # all-ones 3x3: spectrum {3, 0, 0}; integer-root peeling finds 3
@@ -141,24 +220,43 @@ class TestPerron:
         assert data.degree == 1
         assert abs(data.eigenvalue - 3.0) < 1e-9
 
-    def test_power_iteration_matches_numpy(self):
-        rng = random.Random(61)
-        for _ in range(30):
-            n = rng.randint(3, 5)
-            rows = tuple(tuple(rng.randint(1, 6) for _ in range(n)) for _ in range(n))
-            data = perron(IncidenceMatrix(rows))
-            spectral = max(abs(v) for v in np.linalg.eigvals(np.array(rows, dtype=float)))
-            assert abs(data.eigenvalue - spectral) < 1e-8
+    def test_plastic_number(self):
+        data = perron(IncidenceMatrix(((0, 1, 0), (0, 0, 1), (1, 1, 0))))
+        assert data.eigenvalue == 1.324717957244746
+        assert data.exact is None
+        assert data.min_polynomial == (-1, -1, 0, 1)
 
-    def test_rank_two_split_paths_agree(self):
-        rng = random.Random(62)
-        for _ in range(50):
-            rows = ((rng.randint(1, 9), rng.randint(1, 9)), (rng.randint(1, 9), rng.randint(1, 9)))
-            data = perron(IncidenceMatrix(rows))
-            if isinstance(data.exact, QuadraticSurd):
-                assert abs(data.eigenvalue - data.exact.value()) < 1e-10
-            else:
-                assert abs(data.eigenvalue - float(data.exact)) < 1e-10
+    def test_wielandt_matrix(self):
+        # the 40-cycle with one chord: char poly x^40 - x - 1, the least
+        # primitive matrix of its size by Wielandt's bound
+        n = 40
+        rows = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+        rows[-1][0] = rows[-1][1] = 1
+        data = perron(IncidenceMatrix(rows))
+        assert data.char_polynomial == (-1, -1) + (0,) * 38 + (1,)
+        assert data.eigenvalue == 1.0177038929544147
+
+    def test_large_entry(self):
+        # rho = N + 2 / (N - 4) + ..., with the integer root 2 peeled
+        data = perron(IncidenceMatrix(((3, 1, 1), (1, 3, 1), (1, 1, 10**11))))
+        assert data.eigenvalue == 100000000000.0
+        assert data.min_polynomial == (4 * 10**11 - 2, -(10**11 + 4), 1)
+
+    def test_repeated_integer_root(self):
+        # char poly (x - 1)^2 (x + 2) (x^3 - 3x^2 - 4x - 1)
+        rows = ((1, 0, 1, 1, 2, 1), (0, 0, 0, 0, 0, 1), (1, 1, 0, 2, 0, 0),
+                (0, 0, 2, 0, 1, 2), (0, 1, 0, 0, 0, 0), (0, 2, 1, 1, 0, 2))
+        data = perron(IncidenceMatrix(rows))
+        assert data.eigenvalue == 4.048917339522306
+        assert data.min_polynomial == (-1, -4, -3, 1)
+        assert data.degree == 3
+
+    def test_integer_root_between_floats(self):
+        # spectrum N, N - 2, N - 3; N = 2**53 + 1 is a tie that rounds to even
+        n = 2**53 + 1
+        data = perron(IncidenceMatrix(((n - 2, 1, 0), (1, n - 1, 1), (0, 1, n - 2))))
+        assert data.eigenvalue == 9007199254740992.0
+        assert data.min_polynomial == (-n, 1)
 
 
 class TestRankTwoFloats:
@@ -170,22 +268,46 @@ class TestRankTwoFloats:
         assert data.eigenvalue == 1000000012.0
 
     def test_random_primitive_against_sympy(self):
+        matrices = [((pp * qq + 1, pp), (qq, 1)) for pp, qq in _GRID]
+        rng = random.Random(62)
+        for _ in range(50):
+            matrices.append(tuple(tuple(rng.randint(1, 9) for _ in range(2)) for _ in range(2)))
         rng = random.Random(63)
-        checked = 0
-        while checked < 60:
+        while len(matrices) < len(_GRID) + 110:
             # af._square_part trial-divides the discriminant, so keep it small
             bound = 10 ** rng.randint(1, 5)
             rows = tuple(tuple(rng.randint(0, bound) for _ in range(2)) for _ in range(2))
-            matrix = IncidenceMatrix(rows)
-            if not matrix.is_primitive():
-                continue
-            data = perron(matrix)
-            spectral = max(sympy.Matrix(rows).eigenvals(), key=lambda v: sympy.N(v, 30))
-            expected = sympy.N(spectral, 30)
-            assert abs(data.eigenvalue - expected) <= 1e-15 * expected, rows
-            # and it is the nearest float, not just a close one
-            assert data.eigenvalue == float(str(sympy.N(spectral, 60))), rows
-            checked += 1
+            if IncidenceMatrix(rows).is_primitive():
+                matrices.append(rows)
+        for rows in matrices:
+            assert perron(IncidenceMatrix(rows)).eigenvalue == _sympy_nearest(rows), rows
+
+
+class TestSparseCorpus:
+    """Seeded sparse matrices of sizes 3-8 with entries from (0,0,0,1,1,2)."""
+
+    def test_float_matches_numpy(self):
+        for rows in _sparse_corpus()[1]:
+            radius = _numpy_radius(rows)
+            assert abs(perron(IncidenceMatrix(rows)).eigenvalue - radius) <= 1e-9 * radius, rows
+
+    def test_float_is_the_nearest(self):
+        for rows in [rows for rows in _sparse_corpus()[1] if len(rows) <= 5][:30]:
+            assert perron(IncidenceMatrix(rows)).eigenvalue == _sympy_nearest(rows), rows
+
+    def test_char_poly_matches_reference(self):
+        for rows in _sparse_corpus()[0]:
+            assert char_poly(IncidenceMatrix(rows)) == _reference_char_poly(rows), rows
+
+    def test_primitivity_matches_reference(self):
+        for rows in _sparse_corpus()[0]:
+            assert IncidenceMatrix(rows).is_primitive() == _reference_is_primitive(rows), rows
+
+    def test_min_polynomial_matches_reference(self):
+        for rows in _sparse_corpus()[1]:
+            data = perron(IncidenceMatrix(rows))
+            expected = _reference_min_polynomial(data.char_polynomial, _numpy_radius(rows))
+            assert data.min_polynomial == expected, rows
 
 
 class TestDimensionGroup:

@@ -1,0 +1,50 @@
+"""Hang corpus: public inputs that once ran without bound.
+
+Each input runs the command line in a subprocess with a deadline and must
+either answer (exit 0) or be refused with a domain error (exit 2) in time.
+A subprocess is killed at its deadline, so a hang fails the test instead
+of stalling the suite.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import knotfield
+
+_SRC = str(Path(knotfield.__file__).resolve().parents[1])
+
+
+def _wielandt(n: int) -> str:
+    """The n-cycle with one chord, char poly x**n - x - 1."""
+    rows = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    rows[-1][0] = rows[-1][1] = 1
+    return ";".join(",".join(map(str, row)) for row in rows)
+
+
+def _run(args: list[str], deadline: float) -> int:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "knotfield", *args], env=env, capture_output=True, timeout=deadline
+    )
+    return done.returncode
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param("3,1,1;1,3,1;1,1,100000000000", id="perron-large-entry"),
+        pytest.param(_wielandt(40), id="perron-wielandt-40"),
+    ],
+)
+def test_perron_is_bounded(matrix):
+    assert _run(["af", "perron", "--matrix", matrix], deadline=10) in (0, 2)
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason="ROADMAP item 4")
+def test_perron_large_discriminant_is_bounded():
+    # af._square_part trial-divides the discriminant 10**20 - 2 * 10**10 + 5
+    assert _run(["af", "perron", "--matrix", "10000000000,1;1,1"], deadline=2) in (0, 2)
