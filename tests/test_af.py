@@ -258,6 +258,26 @@ class TestPerron:
         assert data.eigenvalue == 9007199254740992.0
         assert data.min_polynomial == (-n, 1)
 
+    def test_rank_two_split_paths_agree(self):
+        # a rational root and a quadratic surd take separate paths; each
+        # exact value must be sympy's Perron root and its float the nearest
+        rng = random.Random(62)
+        x = sympy.Symbol("x")
+        paths = set()
+        for _ in range(50):
+            rows = ((rng.randint(1, 9), rng.randint(1, 9)), (rng.randint(1, 9), rng.randint(1, 9)))
+            data = perron(IncidenceMatrix(rows))
+            root = max(sympy.Poly(sympy.Matrix(rows).charpoly(x), x).real_roots())
+            if isinstance(data.exact, QuadraticSurd):
+                s = data.exact
+                exact = (s.add + s.coeff * sympy.sqrt(s.radicand)) / sympy.Integer(s.div)
+            else:
+                exact = sympy.Rational(data.exact.numerator, data.exact.denominator)
+            paths.add(type(data.exact))
+            assert sympy.simplify(exact - root) == 0, rows
+            assert data.eigenvalue == _sympy_nearest(rows), rows
+        assert paths == {QuadraticSurd, Fraction}
+
 
 class TestRankTwoFloats:
     """Sizes one and two take their float from the exact value."""
@@ -269,11 +289,8 @@ class TestRankTwoFloats:
 
     def test_random_primitive_against_sympy(self):
         matrices = [((pp * qq + 1, pp), (qq, 1)) for pp, qq in _GRID]
-        rng = random.Random(62)
-        for _ in range(50):
-            matrices.append(tuple(tuple(rng.randint(1, 9) for _ in range(2)) for _ in range(2)))
         rng = random.Random(63)
-        while len(matrices) < len(_GRID) + 110:
+        while len(matrices) < len(_GRID) + 60:
             # af._square_part trial-divides the discriminant, so keep it small
             bound = 10 ** rng.randint(1, 5)
             rows = tuple(tuple(rng.randint(0, bound) for _ in range(2)) for _ in range(2))
