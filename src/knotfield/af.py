@@ -13,10 +13,12 @@ polynomial.  All of it is exact integer arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DeadVertex, NotPrimitive
+from .errors import DeadVertex, FloatOverflow, NotPrimitive
+from .numfield import square_free_part
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -114,9 +116,8 @@ class QuadraticSurd:
     def make(add: int, coeff: int, radicand: int, div: int) -> "QuadraticSurd":
         if radicand <= 0:
             raise ValueError("radicand must be positive")
-        square, rest = _square_part(radicand)
-        coeff *= square
-        radicand = rest
+        rest = square_free_part(radicand)
+        coeff, radicand = coeff * math.isqrt(radicand // rest), rest
         if div < 0:
             add, coeff, div = -add, -coeff, -div
         g = math.gcd(math.gcd(abs(add), abs(coeff)), div)
@@ -146,19 +147,6 @@ class QuadraticSurd:
             root = f"{self.coeff}*{root}"
         body = f"{self.add}+{root}" if self.add else root
         return f"({body})/{self.div}" if self.div != 1 else f"({body})"
-
-
-def _square_part(n: int) -> tuple[int, int]:
-    """n = square**2 * rest with rest square-free."""
-    square = 1
-    rest = n
-    d = 2
-    while d * d <= rest:
-        while rest % (d * d) == 0:
-            rest //= d * d
-            square *= d
-        d += 1
-    return square, rest
 
 
 @dataclass(frozen=True)
@@ -191,41 +179,45 @@ class PerronData:
 
 
 def perron(matrix: IncidenceMatrix) -> PerronData:
-    """Perron-Frobenius data of a primitive nonnegative integer matrix."""
+    """Perron-Frobenius data of a primitive nonnegative integer matrix.  A
+    root that rounds beyond the largest float raises FloatOverflow."""
     if not matrix.is_primitive():
         raise NotPrimitive("no power of the matrix is strictly positive")
-    poly = char_poly(matrix)
-    if matrix.size == 1:
-        lam = matrix.entries[0][0]
-        return PerronData(float(lam), Fraction(lam), poly, (-lam, 1), 1)
-    if matrix.size == 2:
-        t = matrix.trace()
-        disc = t * t - 4 * poly[0]
-        root = math.isqrt(disc) if disc >= 0 else None
-        if root is not None and root * root == disc:
-            lam = Fraction(t + root, 2)
-            return PerronData(float(lam), lam, poly, (-lam.numerator, lam.denominator), 1)
-        exact = QuadraticSurd.make(t, 1, disc, 2)
-        return PerronData(exact.value(), exact, poly, poly, 2)
-    # rho is the largest real root of poly, a simple one, and lies in the
-    # Collatz-Wielandt bracket [min row sum, max row sum]; poly is monic, so
-    # a rho that is not an integer is irrational.  A repeated root zeroes
-    # every term of Sturm's sequence, so count on the square-free part.
-    sturm = _sturm(poly)
-    if len(sturm[-1]) > 1:
-        sturm = _sturm(_deflate(poly, sturm[-1])[0])
-    sums = [sum(row) for row in matrix.entries]
-    top = max(sums)
-    above = _variations(sturm, top)
-    roots = _integer_roots(sturm, -top - 1, top)
-    if roots and _variations(sturm, roots[0]) == above:
-        return PerronData(float(roots[0]), None, poly, (-roots[0], 1), 1)
-    min_poly = poly
-    for root in roots:
-        while _eval_poly(min_poly, root) == 0:
-            min_poly = _deflate(min_poly, (-root, 1))[0]
-    value = _nearest_float(sturm, min(sums), top, above)
-    return PerronData(value, None, poly, min_poly, len(min_poly) - 1)
+    try:
+        poly = char_poly(matrix)
+        if matrix.size == 1:
+            lam = matrix.entries[0][0]
+            return PerronData(float(lam), Fraction(lam), poly, (-lam, 1), 1)
+        if matrix.size == 2:
+            t = matrix.trace()
+            disc = t * t - 4 * poly[0]
+            root = math.isqrt(disc) if disc >= 0 else None
+            if root is not None and root * root == disc:
+                lam = Fraction(t + root, 2)
+                return PerronData(float(lam), lam, poly, (-lam.numerator, lam.denominator), 1)
+            exact = QuadraticSurd.make(t, 1, disc, 2)
+            return PerronData(exact.value(), exact, poly, poly, 2)
+        # rho is the largest real root of poly, a simple one, and lies in the
+        # Collatz-Wielandt bracket [min row sum, max row sum]; poly is monic, so
+        # a rho that is not an integer is irrational.  A repeated root zeroes
+        # every term of Sturm's sequence, so count on the square-free part.
+        sturm = _sturm(poly)
+        if len(sturm[-1]) > 1:
+            sturm = _sturm(_deflate(poly, sturm[-1])[0])
+        sums = [sum(row) for row in matrix.entries]
+        top = max(sums)
+        above = _variations(sturm, top)
+        roots = _integer_roots(sturm, -top - 1, top)
+        if roots and _variations(sturm, roots[0]) == above:
+            return PerronData(float(roots[0]), None, poly, (-roots[0], 1), 1)
+        min_poly = poly
+        for root in roots:
+            while _eval_poly(min_poly, root) == 0:
+                min_poly = _deflate(min_poly, (-root, 1))[0]
+        value = _nearest_float(sturm, min(sums), top, above)
+        return PerronData(value, None, poly, min_poly, len(min_poly) - 1)
+    except OverflowError:  # int-to-float rounding past the range raises, never returns inf
+        raise FloatOverflow(f"the Perron root is above the largest float, {sys.float_info.max}") from None
 
 
 def _sturm(poly: tuple[int, ...]) -> list[tuple[int, ...]]:

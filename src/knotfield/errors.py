@@ -67,6 +67,10 @@ class NotPrimitive(DomainError):
     """No power of the incidence matrix is strictly positive."""
 
 
+class FloatOverflow(DomainError):
+    """The Perron root rounds to a value beyond the largest finite float."""
+
+
 # number fields -------------------------------------------------------------
 
 class PerfectSquare(DomainError):
@@ -74,8 +78,8 @@ class PerfectSquare(DomainError):
 
 
 class TooLargeToFactor(DomainError):
-    """Radicand above the 2**63 trial-division guard, or a primality query at
-    or above the bound where the deterministic Miller-Rabin test ends."""
+    """A square-free part that trial division cannot certify, or a primality
+    query at or above the bound where the deterministic Miller-Rabin test ends."""
 
 
 class NotPrime(DomainError):

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 from .errors import FieldMismatch, NotPrime, PerfectSquare, TooLargeToFactor
 
-# Trial division strips every prime below this bound.  What remains from an
-# input below 2**63 has at most two prime factors, so it is square-free
-# unless it is a perfect square; 2_100_000**3 > 2**63 makes the cube case
-# impossible.
+# Trial division strips every prime up to this bound, so a cofactor left below
+# its cube has at most two prime factors and is square-free unless a square.
 _TRIAL_BOUND = 2_100_000
-_SIZE_GUARD = 1 << 63
+# The least strong pseudoprime to the 12 prime bases up to 37 (Sorenson and
+# Webster, 2015): the Miller-Rabin test in is_prime is exact below it.
+_PRIME_TEST_BOUND = 318665857834031151167461
 
 SPLIT = "split"
 INERT = "inert"
@@ -28,22 +28,28 @@ RAMIFIED = "ramified"
 
 
 def _factor_small(n: int) -> dict[int, int]:
-    """Trial-division factorization for n <= the size guard."""
+    """Factor n >= 1 into keys whose odd-exponent product is its square-free
+    part.  The cofactor left by trial division is one key: the root of a
+    square, which may be composite, or a cofactor below _TRIAL_BOUND**3 or
+    proved prime; any other raises TooLargeToFactor naming n.  Keys are all
+    prime when trial division finishes, as it does for n <= _TRIAL_BOUND**2."""
     factors: dict[int, int] = {}
+    rest = n
     d = 2
-    while d <= _TRIAL_BOUND and d * d <= n:
-        while n % d == 0:
+    while d <= _TRIAL_BOUND and d * d <= rest:
+        while rest % d == 0:
             factors[d] = factors.get(d, 0) + 1
-            n //= d
+            rest //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        root = math.isqrt(n)
-        if root * root == n:
-            factors[root] = factors.get(root, 0) + 2
+    if rest > 1:
+        root = math.isqrt(rest)
+        if root * root == rest:
+            factors[root] = 2
+        elif rest < _TRIAL_BOUND**3 or (rest < _PRIME_TEST_BOUND and is_prime(rest)):
+            factors[rest] = 1
         else:
-            # n is prime or a product of two distinct large primes; either
-            # way it is square-free, which is all the callers rely on
-            factors[n] = factors.get(n, 0) + 1
+            raise TooLargeToFactor(f"cannot certify the square-free part of {n}: trial division "
+                                   f"to {_TRIAL_BOUND} leaves a composite or unproved cofactor")
     return factors
 
 
@@ -57,13 +63,11 @@ def square_free_part(n: int) -> int:
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the 12 prime bases up to 37.  Deterministic only for
-    n < 318665857834031151167461 (about 3.2e23), the least strong
-    pseudoprime to all of them (Sorenson and Webster, 2015); larger n
-    raise TooLargeToFactor."""
+    n < _PRIME_TEST_BOUND (about 3.2e23); larger n raise TooLargeToFactor."""
     if n < 2:
         return False
-    if n >= 318665857834031151167461:
-        raise TooLargeToFactor(f"{n} is at least 318665857834031151167461, where this test may err")
+    if n >= _PRIME_TEST_BOUND:
+        raise TooLargeToFactor(f"{n} is at least {_PRIME_TEST_BOUND}, where this test may err")
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
@@ -117,12 +121,9 @@ def make_field(radicand_raw: int) -> QuadraticField:
     """Build the field data for a positive non-square radicand."""
     if radicand_raw < 2:
         raise ValueError(f"radicand must be at least 2, got {radicand_raw}")
-    if radicand_raw > _SIZE_GUARD:
-        raise TooLargeToFactor(f"radicand {radicand_raw} exceeds the 2**63 factoring guard")
-    root = math.isqrt(radicand_raw)
-    if root * root == radicand_raw:
-        raise PerfectSquare(f"{radicand_raw} is a perfect square; the field would be the rationals")
     d = square_free_part(radicand_raw)
+    if d == 1:
+        raise PerfectSquare(f"{radicand_raw} is a perfect square; the field would be the rationals")
     if d % 4 == 1:
         disc = d
         basis = f"Z[(1+sqrt({d}))/2]"
@@ -260,7 +261,8 @@ def contains(outer: FactoredIdeal, inner: FactoredIdeal) -> bool:
 
 
 def ideals_of_norm(field: QuadraticField, norm: int) -> int:
-    """Number of ideals of the given norm, multiplicatively from splitting."""
+    """Number of ideals of the given norm, multiplicatively from splitting.
+    split_prime needs true primes: a norm <= 10**6 finishes trial division."""
     if norm < 1:
         raise ValueError("norms are positive")
     if norm > 10**6:

@@ -28,7 +28,7 @@ from knotfield.af import (
     stationary_diagram,
 )
 from knotfield.cluster import SurfaceSpec, mutation_tree, surface_seed
-from knotfield.errors import DeadVertex, NotPrimitive
+from knotfield.errors import DeadVertex, FloatOverflow, NotPrimitive, TooLargeToFactor
 
 _GRID = [(pp, qq) for pp in range(1, 21) for qq in range(1, 21)]
 
@@ -278,6 +278,30 @@ class TestPerron:
             assert data.eigenvalue == _sympy_nearest(rows), rows
         assert paths == {QuadraticSurd, Fraction}
 
+    def test_large_discriminant(self):
+        # the disc 10**20 - 2 * 10**10 + 5 leaves a prime after trial division
+        rows = ((10**10, 1), (1, 1))
+        data = perron(IncidenceMatrix(rows))
+        assert str(data.exact) == "(10000000001+sqrt(99999999980000000005))/2"
+        x = sympy.Symbol("x")
+        root = max(sympy.Poly(sympy.Matrix(rows).charpoly(x), x).real_roots())
+        assert sympy.simplify((10000000001 + sympy.sqrt(99999999980000000005)) / 2 - root) == 0
+        assert data.eigenvalue == _sympy_nearest(rows)
+
+    def test_uncertified_discriminant(self):
+        # the disc is 4 * 2100001 * 2100011 * 2100031
+        with pytest.raises(TooLargeToFactor, match="37044758523217201364"):
+            perron(IncidenceMatrix(((1, 1), (9261189630804300341, 1))))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((10**309,),), ((10**309, 10**309), (1, 1)), ((10**309, 1, 1), (1, 1, 1), (1, 1, 1))],
+        ids=["size-1", "rational", "size-3"],
+    )
+    def test_float_overflow(self, rows):
+        with pytest.raises(FloatOverflow, match=r"1\.7976931348623157e\+308"):
+            perron(IncidenceMatrix(rows))
+
 
 class TestRankTwoFloats:
     """Sizes one and two take their float from the exact value."""
@@ -291,8 +315,9 @@ class TestRankTwoFloats:
         matrices = [((pp * qq + 1, pp), (qq, 1)) for pp, qq in _GRID]
         rng = random.Random(63)
         while len(matrices) < len(_GRID) + 60:
-            # af._square_part trial-divides the discriminant, so keep it small
-            bound = 10 ** rng.randint(1, 5)
+            # the disc (a - d)**2 + 4bc stays below 5 * 10**18, under the cube
+            # of the trial-division bound, so its square-free part is certified
+            bound = 10 ** rng.randint(1, 9)
             rows = tuple(tuple(rng.randint(0, bound) for _ in range(2)) for _ in range(2))
             if IncidenceMatrix(rows).is_primitive():
                 matrices.append(rows)

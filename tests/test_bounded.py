@@ -33,6 +33,9 @@ def _run(args: list[str], deadline: float) -> int:
     return done.returncode
 
 
+_BIG = str(10**309)  # above the largest float, about 1.8e308
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
@@ -44,7 +47,20 @@ def test_perron_is_bounded(matrix):
     assert _run(["af", "perron", "--matrix", matrix], deadline=10) in (0, 2)
 
 
-@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason="ROADMAP item 4")
 def test_perron_large_discriminant_is_bounded():
-    # af._square_part trial-divides the discriminant 10**20 - 2 * 10**10 + 5
-    assert _run(["af", "perron", "--matrix", "10000000000,1;1,1"], deadline=2) in (0, 2)
+    # trial division leaves the prime 5569235763293 of the disc 10**20 - 2 * 10**10 + 5
+    assert _run(["af", "perron", "--matrix", "10000000000,1;1,1"], deadline=2) == 0
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # disc 4 * 2100001 * 2100011 * 2100031: three primes above the trial bound
+        pytest.param("1,1;9261189630804300341,1", id="perron-three-large-primes"),
+        pytest.param(_BIG, id="perron-overflow-size-1"),
+        pytest.param(f"{_BIG},{_BIG};1,1", id="perron-overflow-rational"),
+        pytest.param(f"{_BIG},1,1;1,1,1;1,1,1", id="perron-overflow-size-3"),
+    ],
+)
+def test_perron_is_refused_in_time(matrix):
+    assert _run(["af", "perron", "--matrix", matrix], deadline=2) == 2

@@ -135,6 +135,11 @@ class TestAfCommand:
         assert result.exit_code == 2
         assert result.stderr.startswith("NotPrimitive:")
 
+    def test_perron_beyond_float_range(self):
+        result = run(["af", "perron", "--matrix", str(10**309)])
+        assert result.exit_code == 2
+        assert result.stderr == "FloatOverflow: the Perron root is above the largest float, 1.7976931348623157e+308\n"
+
     def test_dead_vertex(self):
         result = run(["af", "bratteli", "--matrix", "1,0;1,0"])
         assert result.exit_code == 2

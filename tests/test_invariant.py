@@ -99,6 +99,17 @@ class TestFieldOf:
             assert invariant.is_knot == (closure_components(word) == 1)
             checked += 1
 
+    @pytest.mark.parametrize("n", [*range(23, 31), 45])
+    def test_golden_family_large_radicands(self, n):
+        # (s1 s2^-1)^n has monodromy [[2, 1], [1, 1]]^n, so trace**2 - 4 is
+        # 5 * F(2n)**2 with F the Fibonacci numbers
+        fib = [0, 1]
+        while len(fib) <= 2 * n:
+            fib.append(fib[-1] + fib[-2])
+        invariant = field_of(BraidWord(3, (1, -2) * n))
+        assert invariant.radicand == 5 * fib[2 * n] ** 2
+        assert invariant.field.square_free == 5
+
     def test_json(self):
         payload = field_of(two_generator_power_braid(1, 1)).to_json_dict()
         assert payload == {

@@ -5,9 +5,11 @@ computed by squaring every residue, with ramification read off the
 discriminant directly.
 """
 
+import math
 import random
 
 import pytest
+import sympy
 
 from knotfield.errors import (
     FieldMismatch,
@@ -81,8 +83,10 @@ class TestMakeField:
             make_field(1)
 
     def test_too_large(self):
-        with pytest.raises(TooLargeToFactor):
-            make_field(2**63 + 1)
+        # 2**63 + 1 = 3**3 * 19 * 43 * 5419 * 77158673929
+        assert make_field(2**63 + 1).square_free == 1024819115206086201
+        with pytest.raises(TooLargeToFactor, match="9261189630804300341"):
+            make_field(2100001 * 2100011 * 2100031)
 
     def test_json(self):
         assert make_field(5).to_json_dict() == {
@@ -121,6 +125,26 @@ class TestSquareFree:
         p = 2_147_483_647  # prime above the trial bound
         assert square_free_part(4 * p) == p
         assert square_free_part(p * p) == 1
+        assert square_free_part(2**63 + 1) == 3 * 19 * 43 * 5419 * 77158673929
+        # p**2 * q above the cube of the trial bound: not a square, not prime
+        with pytest.raises(TooLargeToFactor, match="9261057330048300011"):
+            square_free_part(2100001**2 * 2100011)
+
+    def test_random_against_sympy(self):
+        # an answer is sympy's square-free part; a refusal is allowed, a
+        # wrong value is not.  Half the inputs carry a square above the bound.
+        rng = random.Random(71)
+        for i in range(30):
+            if i % 2:
+                n = rng.randint(1, 10 ** rng.randint(1, 6)) * rng.randint(1, 10 ** rng.randint(1, 12)) ** 2
+            else:
+                n = rng.randint(2, 10 ** rng.randint(1, 30))
+            try:
+                d = square_free_part(n)
+            except TooLargeToFactor as exc:
+                assert str(n) in str(exc)
+                continue
+            assert d == math.prod(p for p, e in sympy.factorint(n).items() if e % 2), n
 
 
 class TestIsPrime:
