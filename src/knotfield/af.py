@@ -3,11 +3,11 @@ Perron-Frobenius analysis, and the dimension-group descriptor.
 
 A stationary diagram is represented by its single incidence matrix plus a
 level count used only for rendering; the infinite diagram itself carries no
-more information than the matrix.  Sizes one and two get an exact Perron
-root (rational or a quadratic surd) and its float is that value rounded.
-Larger matrices get the nearest float, certified by a Sturm bracket, and
-the characteristic polynomial with its integer roots peeled as minimal
-polynomial.  All of it is exact integer arithmetic.
+more information than the matrix.  Every size gets the Perron root's
+nearest float, certified by a Sturm bracket, and the characteristic
+polynomial with its integer roots peeled as minimal polynomial.  Sizes one
+and two also carry the exact root as a label (rational or a quadratic
+surd).  All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -17,10 +17,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DeadVertex, FloatOverflow, NotPrimitive
+from .errors import BudgetExceeded, DeadVertex, FloatOverflow, NotPrimitive
 from .numfield import square_free_part
 
 Matrix = tuple[tuple[int, ...], ...]
+
+# A stationary diagram holds levels * size**2 edge entries; 25,000 levels of
+# a 2x2 matrix is about 5 MB of DOT.
+_DIAGRAM_ENTRIES = 10**5
 
 
 def _as_matrix(rows) -> Matrix:
@@ -49,9 +53,6 @@ class IncidenceMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
-
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.size))
 
     def determinant(self) -> int:
         return (-1) ** self.size * char_poly(self)[0]
@@ -123,24 +124,6 @@ class QuadraticSurd:
         g = math.gcd(math.gcd(abs(add), abs(coeff)), div)
         return QuadraticSurd(add // g, coeff // g, radicand, div // g)
 
-    def value(self) -> float:
-        """The nearest float.  sqrt(coeff**2 * radicand) is bracketed by
-        integer square roots at scale 2**-shift, refined until both ends
-        round alike; that ends, as an irrational value is never a tie."""
-        sign = -1 if self.coeff < 0 else 1
-        n = self.coeff * self.coeff * self.radicand
-        shift = 64
-        while True:
-            scaled = n << (2 * shift)
-            root = math.isqrt(scaled)
-            lower = ((self.add << shift) + sign * root) / (self.div << shift)
-            if root * root == scaled:
-                return lower
-            upper = ((self.add << shift) + sign * (root + 1)) / (self.div << shift)
-            if lower == upper:
-                return lower
-            shift *= 2
-
     def __str__(self) -> str:
         root = f"sqrt({self.radicand})"
         if self.coeff != 1:
@@ -153,19 +136,23 @@ class QuadraticSurd:
 class PerronData:
     """Spectral radius of a primitive incidence matrix.
 
-    ``exact`` is a Fraction (degree 1) or QuadraticSurd (degree 2) for sizes
-    one and two, and None for size >= 3, where ``eigenvalue`` is the nearest
-    float, certified by a Sturm bracket, and the minimal polynomial is the
-    characteristic polynomial with its integer roots peeled (x - rho when
-    rho is one).  No other factor is split off, so it may be a proper
-    multiple of the true minimal polynomial; ``degree`` is its degree.
+    ``eigenvalue`` is the nearest float, certified by a Sturm bracket at
+    every size, and the minimal polynomial is the characteristic polynomial
+    with its integer roots peeled (x - rho when rho is one).  No other
+    factor is split off, so it may be a proper multiple of the true minimal
+    polynomial; ``degree`` is its degree.  ``exact`` labels sizes one and
+    two with the root itself, a Fraction (degree 1) or a QuadraticSurd
+    (degree 2), and is None for size >= 3.
     """
 
     eigenvalue: float
     exact: Fraction | QuadraticSurd | None
     char_polynomial: tuple[int, ...]
     min_polynomial: tuple[int, ...]
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        return len(self.min_polynomial) - 1
 
     def exact_str(self) -> str | None:
         return None if self.exact is None else str(self.exact)
@@ -185,18 +172,6 @@ def perron(matrix: IncidenceMatrix) -> PerronData:
         raise NotPrimitive("no power of the matrix is strictly positive")
     try:
         poly = char_poly(matrix)
-        if matrix.size == 1:
-            lam = matrix.entries[0][0]
-            return PerronData(float(lam), Fraction(lam), poly, (-lam, 1), 1)
-        if matrix.size == 2:
-            t = matrix.trace()
-            disc = t * t - 4 * poly[0]
-            root = math.isqrt(disc) if disc >= 0 else None
-            if root is not None and root * root == disc:
-                lam = Fraction(t + root, 2)
-                return PerronData(float(lam), lam, poly, (-lam.numerator, lam.denominator), 1)
-            exact = QuadraticSurd.make(t, 1, disc, 2)
-            return PerronData(exact.value(), exact, poly, poly, 2)
         # rho is the largest real root of poly, a simple one, and lies in the
         # Collatz-Wielandt bracket [min row sum, max row sum]; poly is monic, so
         # a rho that is not an integer is irrational.  A repeated root zeroes
@@ -209,13 +184,15 @@ def perron(matrix: IncidenceMatrix) -> PerronData:
         above = _variations(sturm, top)
         roots = _integer_roots(sturm, -top - 1, top)
         if roots and _variations(sturm, roots[0]) == above:
-            return PerronData(float(roots[0]), None, poly, (-roots[0], 1), 1)
+            rho = roots[0]
+            return PerronData(float(rho), Fraction(rho) if matrix.size <= 2 else None, poly, (-rho, 1))
         min_poly = poly
         for root in roots:
             while _eval_poly(min_poly, root) == 0:
                 min_poly = _deflate(min_poly, (-root, 1))[0]
-        value = _nearest_float(sturm, min(sums), top, above)
-        return PerronData(value, None, poly, min_poly, len(min_poly) - 1)
+        # labelled before the float, so a radicand it cannot factor is refused first
+        exact = QuadraticSurd.make(-poly[1], 1, poly[1] ** 2 - 4 * poly[0], 2) if matrix.size == 2 else None
+        return PerronData(_nearest_float(sturm, min(sums), top, above), exact, poly, min_poly)
     except OverflowError:  # int-to-float rounding past the range raises, never returns inf
         raise FloatOverflow(f"the Perron root is above the largest float, {sys.float_info.max}") from None
 
@@ -309,15 +286,11 @@ class DimensionGroupDescriptor:
 
 def dimension_group(matrix: IncidenceMatrix) -> DimensionGroupDescriptor:
     data = perron(matrix)
+    lam_text = data.exact_str() or f"{data.eigenvalue:.12g}"
+    radicand = None
     if isinstance(data.exact, QuadraticSurd):
-        lam_text = str(data.exact)
-        radicand = matrix.trace() ** 2 - 4 * matrix.determinant()
-    elif isinstance(data.exact, Fraction):
-        lam_text = str(data.exact)
-        radicand = None
-    else:
-        lam_text = f"{data.eigenvalue:.12g}"
-        radicand = None
+        c0, c1, _ = data.char_polynomial
+        radicand = c1 * c1 - 4 * c0
     return DimensionGroupDescriptor(
         rank=matrix.size,
         min_polynomial=data.min_polynomial,
@@ -352,12 +325,16 @@ class BratteliDiagram:
 
 
 def stationary_diagram(matrix: IncidenceMatrix, levels: int) -> BratteliDiagram:
-    """Diagram with ``levels`` identical edge layers (so levels+1 vertex rows)."""
+    """Diagram with ``levels`` identical edge layers (so levels+1 vertex rows).
+    More than _DIAGRAM_ENTRIES edge entries in all raise BudgetExceeded."""
     if levels < 1:
         raise ValueError("need at least one level")
     if matrix.has_dead_vertex():
         raise DeadVertex("incidence matrix has an all-zero row or column")
     size = matrix.size
+    if levels * size * size > _DIAGRAM_ENTRIES:
+        raise BudgetExceeded(f"{levels} levels of a {size}x{size} matrix hold {levels * size * size} "
+                             f"edge entries, above the limit of {_DIAGRAM_ENTRIES}")
     return BratteliDiagram(
         level_sizes=(size,) * (levels + 1),
         edge_matrices=(matrix.entries,) * levels,

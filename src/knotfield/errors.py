@@ -32,7 +32,9 @@ class IndexOutOfRange(DomainError):
 
 
 class BudgetExceeded(DomainError):
-    """A backtracking search ran past its node budget."""
+    """A request ran past a size or work limit: the subgroup search's node
+    budget, the mutation-tree depth guard or the Bratteli diagram's entry
+    limit.  The message names the request and the limit."""
 
 
 # cluster algebra -----------------------------------------------------------

@@ -463,10 +463,6 @@ class LaurentFraction:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def is_reduced(self) -> bool:
-        content = self.numerator.content_exponents()
-        return all(d == 0 or c == 0 for c, d in zip(content, self.denominator))
-
     def __mul__(self, other: "LaurentFraction") -> "LaurentFraction":
         return LaurentFraction(
             self.numerator * other.numerator,
@@ -482,15 +478,7 @@ class LaurentFraction:
     def __pow__(self, n: int) -> "LaurentFraction":
         if n < 0:
             raise ValueError("negative powers are not defined for fractions in general")
-        out = LaurentFraction.from_polynomial(Polynomial.constant(self.nvars, 1))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return LaurentFraction(self.numerator ** n, tuple(n * d for d in self.denominator))
 
     def divide_exact(self, other: "LaurentFraction") -> "LaurentFraction":
         """Quotient self / other, defined when the result is again a Laurent

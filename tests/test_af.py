@@ -28,7 +28,7 @@ from knotfield.af import (
     stationary_diagram,
 )
 from knotfield.cluster import SurfaceSpec, mutation_tree, surface_seed
-from knotfield.errors import DeadVertex, FloatOverflow, NotPrimitive, TooLargeToFactor
+from knotfield.errors import BudgetExceeded, DeadVertex, FloatOverflow, NotPrimitive, TooLargeToFactor
 
 _GRID = [(pp, qq) for pp in range(1, 21) for qq in range(1, 21)]
 
@@ -161,26 +161,6 @@ class TestQuadraticSurd:
         surd = QuadraticSurd.make(4, 1, 12, 2)
         assert (surd.add, surd.coeff, surd.radicand, surd.div) == (2, 1, 3, 1)
 
-    def test_value(self):
-        surd = QuadraticSurd.make(3, 1, 5, 2)
-        assert abs(surd.value() - (3 + math.sqrt(5)) / 2) < 1e-15
-
-    def test_value_is_the_nearest_float(self):
-        rng = random.Random(64)
-        # Pell-type near-cancellations, then random surds
-        surds = [QuadraticSurd(-1351, 780, 3, 1), QuadraticSurd(18817, -10864, 3, 7)]
-        for _ in range(200):
-            radicand = rng.randint(2, 10 ** rng.randint(1, 30))
-            if math.isqrt(radicand) ** 2 == radicand:
-                continue
-            bound = 10 ** rng.randint(0, 20)
-            coeff = rng.choice([-1, 1]) * rng.randint(1, bound)
-            surds.append(QuadraticSurd(rng.randint(-bound, bound), coeff, radicand, rng.randint(1, bound)))
-        for s in surds:
-            exact = (s.add + s.coeff * sympy.sqrt(s.radicand)) / s.div
-            # a 60-digit decimal string parses to the nearest float
-            assert s.value() == float(str(sympy.N(exact, 60))), s
-
     def test_str(self):
         assert str(QuadraticSurd.make(3, 1, 5, 2)) == "(3+sqrt(5))/2"
         assert str(QuadraticSurd.make(2, 1, 3, 1)) == "(2+sqrt(3))"
@@ -216,6 +196,7 @@ class TestPerron:
     def test_rational_perron_of_reducible_poly(self):
         # all-ones 3x3: spectrum {3, 0, 0}; integer-root peeling finds 3
         data = perron(IncidenceMatrix(((1, 1, 1), (1, 1, 1), (1, 1, 1))))
+        assert data.exact is None
         assert data.min_polynomial == (-3, 1)
         assert data.degree == 1
         assert abs(data.eigenvalue - 3.0) < 1e-9
@@ -293,6 +274,12 @@ class TestPerron:
         with pytest.raises(TooLargeToFactor, match="37044758523217201364"):
             perron(IncidenceMatrix(((1, 1), (9261189630804300341, 1))))
 
+    def test_refused_for_both_reasons(self):
+        # the root is above the float range and the disc (10**309 - 1)**2 + 4
+        # cannot be certified: the exact label is built first, so it refuses
+        with pytest.raises(TooLargeToFactor):
+            perron(IncidenceMatrix(((10**309, 1), (1, 1))))
+
     @pytest.mark.parametrize(
         "rows",
         [((10**309,),), ((10**309, 10**309), (1, 1)), ((10**309, 1, 1), (1, 1, 1), (1, 1, 1))],
@@ -304,7 +291,8 @@ class TestPerron:
 
 
 class TestRankTwoFloats:
-    """Sizes one and two take their float from the exact value."""
+    """Sizes one and two take their float from the Sturm bracket, as every
+    size does; the exact value is only a label on top of it."""
 
     def test_rational_root_is_exact(self):
         data = perron(IncidenceMatrix(((1000000007, 3), (5, 1000000009))))
@@ -321,6 +309,9 @@ class TestRankTwoFloats:
             rows = tuple(tuple(rng.randint(0, bound) for _ in range(2)) for _ in range(2))
             if IncidenceMatrix(rows).is_primitive():
                 matrices.append(rows)
+        # size one: 2**53 + 1 is a tie that rounds to even
+        matrices += [((2**53 + 1,),), ((10**18,),)]
+        matrices += [((rng.randint(1, 10 ** rng.randint(1, 18)),),) for _ in range(30)]
         for rows in matrices:
             assert perron(IncidenceMatrix(rows)).eigenvalue == _sympy_nearest(rows), rows
 
@@ -382,6 +373,14 @@ class TestStationaryDiagram:
     def test_dead_vertex(self):
         with pytest.raises(DeadVertex):
             stationary_diagram(IncidenceMatrix(((1, 0), (1, 0))), 2)
+
+    def test_entry_limit(self):
+        # the limit counts levels * size**2 entries, not levels alone
+        assert len(stationary_diagram(IncidenceMatrix(((2, 1), (1, 1))), 25000).edge_matrices) == 25000
+        with pytest.raises(BudgetExceeded, match="25001 levels of a 2x2 matrix hold 100004 edge entries"):
+            stationary_diagram(IncidenceMatrix(((2, 1), (1, 1))), 25001)
+        with pytest.raises(BudgetExceeded, match="above the limit of 100000"):
+            stationary_diagram(IncidenceMatrix(((1,) * 40,) * 40), 63)
 
     def test_roundtrip(self):
         matrix = IncidenceMatrix(((3, 2), (1, 1)))

@@ -25,12 +25,11 @@ def _wielandt(n: int) -> str:
     return ";".join(",".join(map(str, row)) for row in rows)
 
 
-def _run(args: list[str], deadline: float) -> int:
+def _run(args: list[str], deadline: float) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "knotfield", *args], env=env, capture_output=True, timeout=deadline
+    return subprocess.run(
+        [sys.executable, "-m", "knotfield", *args], env=env, capture_output=True, text=True, timeout=deadline
     )
-    return done.returncode
 
 
 _BIG = str(10**309)  # above the largest float, about 1.8e308
@@ -44,12 +43,12 @@ _BIG = str(10**309)  # above the largest float, about 1.8e308
     ],
 )
 def test_perron_is_bounded(matrix):
-    assert _run(["af", "perron", "--matrix", matrix], deadline=10) in (0, 2)
+    assert _run(["af", "perron", "--matrix", matrix], deadline=10).returncode in (0, 2)
 
 
 def test_perron_large_discriminant_is_bounded():
     # trial division leaves the prime 5569235763293 of the disc 10**20 - 2 * 10**10 + 5
-    assert _run(["af", "perron", "--matrix", "10000000000,1;1,1"], deadline=2) == 0
+    assert _run(["af", "perron", "--matrix", "10000000000,1;1,1"], deadline=2).returncode == 0
 
 
 @pytest.mark.parametrize(
@@ -63,4 +62,12 @@ def test_perron_large_discriminant_is_bounded():
     ],
 )
 def test_perron_is_refused_in_time(matrix):
-    assert _run(["af", "perron", "--matrix", matrix], deadline=2) == 2
+    assert _run(["af", "perron", "--matrix", matrix], deadline=2).returncode == 2
+
+
+def test_bratteli_levels_are_refused_in_time():
+    # 3000000 levels of a 2x2 matrix once wrote 652 MB of DOT
+    done = _run(["af", "bratteli", "--matrix", "2,1;1,1", "--levels", "3000000", "--dot"], deadline=2)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("BudgetExceeded: ") and done.stderr.count("\n") == 1
