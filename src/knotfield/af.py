@@ -51,9 +51,6 @@ class IncidenceMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def determinant(self) -> int:
         return (-1) ** self.size * char_poly(self)[0]
 

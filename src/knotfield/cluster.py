@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .af import BratteliDiagram
 from .errors import BudgetExceeded, DirectionOutOfRange, TooSmall, UnsupportedSurface
@@ -131,15 +132,10 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
 
 @lru_cache(maxsize=2048)
 def _mutate_seed_cached(seed: Seed, k: int) -> Seed:
-    n = seed.rank
-    column = seed.matrix.column(k)
-    plus = LaurentFraction.from_polynomial(Polynomial.constant(n, 1))
-    minus = LaurentFraction.from_polynomial(Polynomial.constant(n, 1))
-    for i, b in enumerate(column, start=1):
-        if b > 0:
-            plus = plus * seed.variables[i - 1] ** b
-        elif b < 0:
-            minus = minus * seed.variables[i - 1] ** (-b)
+    one = LaurentFraction.from_polynomial(Polynomial.constant(seed.rank, 1))
+    pairs = list(zip(seed.variables, seed.matrix.column(k)))
+    plus = prod((x**b for x, b in pairs if b > 0), start=one)
+    minus = prod((x**-b for x, b in pairs if b < 0), start=one)
     exchanged = (plus + minus).divide_exact(seed.variables[k - 1])
     variables = list(seed.variables)
     variables[k - 1] = exchanged

@@ -5,16 +5,22 @@ coefficients.  A Laurent fraction is a polynomial numerator over a monomial
 denominator, kept in reduced form: no variable with positive denominator
 exponent divides the numerator.
 
+Polynomials and Laurent fractions are immutable values: an operation may
+return one of its operands (``p * 1``, ``p ** 1`` and a zero-shift
+``mul_monomial`` return ``p`` itself), so ``.terms`` must never be mutated.
+
 Heavy products are performed by packing polynomials into single big
 integers (one fixed-width little-endian slot per point of the mixed-radix
 exponent box) so that polynomial multiplication becomes one machine-level
-integer multiplication.  Signed inputs are split into positive and negative
-parts, multiplied as four nonnegative products, and recombined, which keeps
-slot values nonnegative and unpacking trivial.  When both operands are
-homogeneous the variable with the widest exponent range is dropped from the
-box and restored from the total degree, which is what keeps deep cluster
-mutations (large homogeneous numerators) cheap.  Packed images above
-``_PACK_BYTE_LIMIT`` fall back to direct dict arithmetic.
+integer multiplication.  The images are signed: each is the image of the
+positive coefficients minus that of the absolute values of the negative
+ones, and the product is unpacked in balanced slots, where every slot is
+read relative to half its range.  The slot width keeps a bound on every
+product coefficient below that half, so no borrow crosses a slot.  When
+both operands are homogeneous the variable with the widest exponent range
+is dropped from the box and restored from the total degree, which is what
+keeps deep cluster mutations (large homogeneous numerators) cheap.  Packed
+images above ``_PACK_BYTE_LIMIT`` fall back to direct dict arithmetic.
 
 Exact division by a non-monomial is sparse heap division (Monagan and
 Pearce, "Sparse polynomial division using a heap", 2011) in grlex order over
@@ -30,8 +36,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
+from math import prod
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import NonLaurentResult
 
@@ -76,10 +83,6 @@ class Polynomial:
         exps = [0] * nvars
         exps[index - 1] = 1
         return cls(nvars, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, exps: Sequence[int], nvars: int, coeff: int = 1) -> "Polynomial":
-        return cls(nvars, {tuple(exps): coeff})
 
     # inspection -------------------------------------------------------------
 
@@ -155,6 +158,8 @@ class Polynomial:
 
     def mul_monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
         shift = tuple(exps)
+        if coeff == 1 and not any(shift):
+            return self
         return Polynomial(
             self.nvars,
             {tuple(e + s for e, s in zip(t, shift)): c * coeff for t, c in self.terms.items()},
@@ -175,15 +180,11 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n < 2:
+            return self if n else Polynomial.constant(self.nvars, 1)
+        half = self ** (n // 2)
+        square = half * half
+        return square * self if n & 1 else square
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Quotient self / divisor, raising InexactDivision if not exact."""
@@ -198,6 +199,8 @@ class Polynomial:
         return _div_sparse(self, divisor)
 
     def _div_monomial(self, exps, coeff) -> "Polynomial":
+        if coeff == 1 and not any(exps):
+            return self
         out = {}
         for t, c in self.terms.items():
             if c % coeff:
@@ -255,16 +258,20 @@ class Polynomial:
 
 def _choose_drop(a: Polynomial, b: Polynomial) -> int | None:
     """Variable index to drop when both operands are homogeneous."""
-    if a.nvars < 2 or not (a.is_homogeneous() and b.is_homogeneous()):
+    if not (a.is_homogeneous() and b.is_homogeneous()):
         return None
     extents = [x + y for x, y in zip(a.max_degrees(), b.max_degrees())]
     return max(range(len(extents)), key=lambda i: extents[i])
 
 
-def _pack(terms: Iterable[tuple[tuple[int, ...], int]], strides, slot_bytes, drop) -> int:
+def _pack(poly: Polynomial, strides, slot_bytes, drop) -> int:
+    """Signed Kronecker image: the sum of coeff * 256**(slot_bytes * idx)
+    over the terms, idx being the exponent's index in the box.  Positive
+    coefficients and the absolute values of negative ones fill two byte
+    buffers, and the image is the difference of the two."""
     size = 0
     chunks: list[tuple[int, int]] = []
-    for exps, coeff in terms:
+    for exps, coeff in poly.terms.items():
         idx = 0
         s = 0
         for i, e in enumerate(exps):
@@ -275,24 +282,29 @@ def _pack(terms: Iterable[tuple[tuple[int, ...], int]], strides, slot_bytes, dro
         chunks.append((idx, coeff))
         if idx >= size:
             size = idx + 1
-    buf = bytearray(size * slot_bytes)
+    pos = bytearray(size * slot_bytes)
+    neg = bytearray(size * slot_bytes)
     for idx, coeff in chunks:
         off = idx * slot_bytes
-        buf[off : off + slot_bytes] = coeff.to_bytes(slot_bytes, "little")
-    return int.from_bytes(buf, "little")
+        buf = pos if coeff > 0 else neg
+        buf[off : off + slot_bytes] = abs(coeff).to_bytes(slot_bytes, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _unpack(value: int, slot_bytes, extents, drop, nvars, degree) -> dict:
-    """Inverse of _pack; ``degree`` restores the dropped exponent (or None)."""
+def _unpack(value: int, slot_bytes, extents, drop, degree) -> dict:
+    """Inverse of _pack over the whole box; ``degree`` restores the dropped
+    exponent (or None).  Adds half = 2**(8*slot_bytes - 1) to every slot
+    and reads each slot minus half; no borrow crosses a slot because every
+    |coefficient| < half."""
+    half = 1 << (8 * slot_bytes - 1)
+    zero = half.to_bytes(slot_bytes, "little")
+    nslots = prod(extents)
+    value += int.from_bytes(zero * nslots, "little")
+    data = value.to_bytes(nslots * slot_bytes, "little")
     out: dict[tuple[int, ...], int] = {}
-    if value == 0:
-        return out
-    data = value.to_bytes((value.bit_length() + 7) // 8 + slot_bytes, "little")
-    nslots = len(data) // slot_bytes
     for idx in range(nslots):
         chunk = data[idx * slot_bytes : (idx + 1) * slot_bytes]
-        coeff = int.from_bytes(chunk, "little")
-        if not coeff:
+        if chunk == zero:
             continue
         exps = []
         rem = idx
@@ -301,18 +313,11 @@ def _unpack(value: int, slot_bytes, extents, drop, nvars, degree) -> dict:
             exps.append(e)
         if drop is not None:
             exps.insert(drop, degree - sum(exps))
-        out[tuple(exps)] = coeff
+        out[tuple(exps)] = int.from_bytes(chunk, "little") - half
     return out
 
 
-def _split_signs(poly: Polynomial):
-    pos = [(e, c) for e, c in poly.terms.items() if c > 0]
-    neg = [(e, -c) for e, c in poly.terms.items() if c < 0]
-    return pos, neg
-
-
 def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
-    nvars = a.nvars
     drop = _choose_drop(a, b)
     extents = [
         x + y + 1
@@ -329,24 +334,8 @@ def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
     if acc * slot_bytes > _PACK_BYTE_LIMIT:
         return _mul_dict(a, b)
     degree = a.total_degree() + b.total_degree() if drop is not None else None
-
-    a_pos, a_neg = _split_signs(a)
-    b_pos, b_neg = _split_signs(b)
-    packed = {}
-    for tag, part in (("ap", a_pos), ("an", a_neg), ("bp", b_pos), ("bn", b_neg)):
-        packed[tag] = _pack(part, strides, slot_bytes, drop) if part else 0
-
-    plus = packed["ap"] * packed["bp"] + packed["an"] * packed["bn"]
-    minus = packed["ap"] * packed["bn"] + packed["an"] * packed["bp"]
-
-    terms = _unpack(plus, slot_bytes, extents, drop, nvars, degree)
-    for exps, coeff in _unpack(minus, slot_bytes, extents, drop, nvars, degree).items():
-        new = terms.get(exps, 0) - coeff
-        if new:
-            terms[exps] = new
-        else:
-            terms.pop(exps, None)
-    return Polynomial(nvars, terms)
+    product = _pack(a, strides, slot_bytes, drop) * _pack(b, strides, slot_bytes, drop)
+    return Polynomial(a.nvars, _unpack(product, slot_bytes, extents, drop, degree))
 
 
 def _mul_dict(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -442,11 +431,8 @@ class LaurentFraction:
             return
         content = numerator.content_exponents()
         cancel = tuple(min(c, d) for c, d in zip(content, den))
-        if any(cancel):
-            numerator = numerator._div_monomial(cancel, 1)
-            den = [d - c for d, c in zip(den, cancel)]
-        self.numerator = numerator
-        self.denominator = tuple(den)
+        self.numerator = numerator._div_monomial(cancel, 1)
+        self.denominator = tuple(d - c for d, c in zip(den, cancel))
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial) -> "LaurentFraction":

@@ -16,6 +16,7 @@ import pytest
 
 from knotfield.cluster import (
     ExchangeMatrix,
+    _mutate_seed_cached,
     _mutate_tropical,
     _tropical_start,
     Seed,
@@ -244,6 +245,14 @@ class TestSeedMutation:
             for _ in range(8):
                 seed = mutate_seed(seed, rng.randint(1, 3))
                 assert all(v.numerator.has_positive_coefficients() for v in seed.variables)
+
+    def test_mutation_is_memoized(self):
+        # the benchmark reads cache_info() of this memo
+        seed = surface_seed(SurfaceSpec(1, 1))
+        first = mutate_seed(seed, 2)
+        hits = _mutate_seed_cached.cache_info().hits
+        assert mutate_seed(seed, 2) is first
+        assert _mutate_seed_cached.cache_info().hits == hits + 1
 
     def test_direction_validation(self):
         with pytest.raises(DirectionOutOfRange):

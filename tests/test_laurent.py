@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from knotfield import laurent
 from knotfield.errors import NonLaurentResult
 from knotfield.laurent import InexactDivision, LaurentFraction, Polynomial
 
@@ -42,16 +43,29 @@ def divides_over_integers(f: Polynomial, g: Polynomial) -> bool:
     return remainder.is_zero and all(c.is_integer for c in quotient.coeffs())
 
 
+# +-(2^k - 1), +-2^k and +-(2^k + 1) for k = 8w - 1 and 8w: around the sign
+# bit and the top of w-byte packed slots (w = 1, 2, 8)
+EDGE_COEFFS = [s * (2**k + d) for k in (7, 8, 15, 16, 63, 64) for d in (-1, 0, 1) for s in (1, -1)]
+
+
 @st.composite
 def polynomials(draw, nvars=None, max_terms=6, max_exp=4, max_coeff=20, signed=True):
     n = nvars if nvars is not None else draw(st.integers(1, 4))
     nterms = draw(st.integers(0, max_terms))
+    low = -max_coeff if signed else 1
+    coeffs = st.integers(low, max_coeff) | st.sampled_from([c for c in EDGE_COEFFS if c >= low])
     terms = {}
     for _ in range(nterms):
         exps = tuple(draw(st.integers(0, max_exp)) for _ in range(n))
-        low = -max_coeff if signed else 1
-        terms[exps] = draw(st.integers(low, max_coeff))
+        terms[exps] = draw(coeffs)
     return Polynomial(n, terms)
+
+
+def edge_pair(k):
+    """(-c*x1 + x2, c*x1 + x2) with c = 2^k + 1: the product coefficient
+    -c^2 fills more than a quarter of its slot (2 bytes at k = 7, 16 at 63)."""
+    c = 2**k + 1
+    return Polynomial(2, {(1, 0): -c, (0, 1): 1}), Polynomial(2, {(1, 0): c, (0, 1): 1})
 
 
 @st.composite
@@ -63,6 +77,8 @@ def polynomial_pairs(draw, **kwargs):
 class TestPolynomialRing:
     @settings(max_examples=300, deadline=None)
     @given(polynomial_pairs())
+    @example(pair=edge_pair(7))
+    @example(pair=edge_pair(63))
     def test_mul_matches_naive(self, pair):
         a, b = pair
         assert a * b == naive_mul(a, b)
@@ -116,6 +132,20 @@ class TestPolynomialRing:
         values = point[: poly.nvars]
         square = poly * poly
         assert square.evaluate(values) == poly.evaluate(values) ** 2
+
+    def test_dict_fallback(self, monkeypatch):
+        # the packed box would hold 12001 * 12001 * 2 slots, above the limit,
+        # so the product runs on dicts without allocating it; the two
+        # x1^6000 * x2^6000 terms cancel
+        calls = []
+        mul_dict = laurent._mul_dict
+        monkeypatch.setattr(laurent, "_mul_dict", lambda a, b: calls.append(1) or mul_dict(a, b))
+        x1, x2, x3 = (Polynomial.variable(i, 3) for i in (1, 2, 3))
+        one, two, three = (Polynomial.constant(3, c) for c in (1, 2, 3))
+        a = x1**6000 - x2**6000 + two * x3
+        b = three * (x1**6000 + x2**6000) + x2 - one
+        assert a * b == naive_mul(a, b)
+        assert calls == [1]
 
     def test_homogeneous_path(self):
         # both operands homogeneous triggers the dropped-variable packing in
