@@ -70,9 +70,6 @@ class IncidenceMatrix:
         edges = ((u, w) for u, row in enumerate(self.entries) for w, v in enumerate(row) if v)
         return math.gcd(*(level[u] + 1 - level[w] for u, w in edges)) == 1
 
-    def to_json_dict(self) -> dict:
-        return {"size": self.size, "matrix": [list(r) for r in self.entries]}
-
 
 def _bfs_levels(rows) -> dict[int, int]:
     """Breadth-first level of each vertex reachable from vertex 0 along nonzero entries."""
@@ -150,16 +147,6 @@ class PerronData:
     @property
     def degree(self) -> int:
         return len(self.min_polynomial) - 1
-
-    def exact_str(self) -> str | None:
-        return None if self.exact is None else str(self.exact)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "exact": self.exact_str(),
-            "float": self.eigenvalue,
-            "minpoly": list(self.min_polynomial),
-        }
 
 
 def perron(matrix: IncidenceMatrix) -> PerronData:
@@ -277,13 +264,11 @@ class DimensionGroupDescriptor:
     min_polynomial: tuple[int, ...]
     order_text: str
     radicand: int | None
-    positivity_note: str
-    unit_note: str
 
 
 def dimension_group(matrix: IncidenceMatrix) -> DimensionGroupDescriptor:
     data = perron(matrix)
-    lam_text = data.exact_str() or f"{data.eigenvalue:.12g}"
+    lam_text = f"{data.eigenvalue:.12g}" if data.exact is None else str(data.exact)
     radicand = None
     if isinstance(data.exact, QuadraticSurd):
         c0, c1, _ = data.char_polynomial
@@ -293,8 +278,6 @@ def dimension_group(matrix: IncidenceMatrix) -> DimensionGroupDescriptor:
         min_polynomial=data.min_polynomial,
         order_text=f"Z[{lam_text}]",
         radicand=radicand,
-        positivity_note="positive cone: elements with positive dominant-eigenvalue embedding",
-        unit_note="order unit: 1",
     )
 
 

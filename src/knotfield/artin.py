@@ -69,12 +69,6 @@ class GroupPresentation:
         rels = ", ".join(str(r) for r in self.relators)
         return f"⟨{gens} | {rels}⟩"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.generator_count,
-            "relators": [r.to_json() for r in self.relators],
-        }
-
 
 def link_group_presentation(word: BraidWord) -> GroupPresentation:
     """Presentation of the fundamental group of the closure of ``word``."""

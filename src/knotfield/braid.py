@@ -46,9 +46,6 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-k for k in reversed(self.letters)))
 
-    def to_json_dict(self) -> dict:
-        return {"strands": self.strands, "letters": list(self.letters)}
-
     def __str__(self) -> str:
         return " ".join(str(k) for k in self.letters) if self.letters else "<empty>"
 

@@ -4,6 +4,10 @@ Machine output goes to stdout (JSON with --json, Graphviz with --dot where
 supported); diagnostics go to stderr.  Exit codes: 0 success, 1 usage
 error, 2 domain error (non-hyperbolic braid, perfect-square radicand, and
 friends), with a one-line ``ErrorKind: reason`` on stderr.
+
+This module alone writes the stdout formats: each handler builds its JSON
+payload and its text from public fields of the domain objects, which know
+nothing of either.
 """
 
 from __future__ import annotations
@@ -143,7 +147,7 @@ def _cmd_braid(args) -> str:
         return json.dumps({"components": count}) if args.json else str(count)
     reduced = free_reduce(word)
     if args.json:
-        return json.dumps(reduced.to_json_dict())
+        return json.dumps({"strands": reduced.strands, "letters": list(reduced.letters)})
     return str(reduced)
 
 
@@ -151,7 +155,10 @@ def _cmd_linkgroup(args) -> str:
     word = parse_braid(args.word, args.strands)
     presentation = link_group_presentation(word)
     if args.action == "present":
-        return json.dumps(presentation.to_json_dict()) if args.json else str(presentation)
+        if args.json:
+            relators = [[list(s) for s in r.syllables] for r in presentation.relators]
+            return json.dumps({"rank": presentation.generator_count, "relators": relators})
+        return str(presentation)
     if args.action == "abelianize":
         free_rank, torsion = abelianization(presentation)
         if args.json:
@@ -177,7 +184,10 @@ def _cmd_cluster(args) -> str:
         current = seed
         for k in directions:
             current = cluster.mutate_seed(current, k)
-        return json.dumps(current.to_json_dict()) if args.json else _seed_text(current)
+        if args.json:
+            rows = [list(row) for row in current.matrix.rows]
+            return json.dumps({"B": rows, "vars": [v.render() for v in current.variables]})
+        return _seed_text(current)
     if args.action == "tree":
         diagram = cluster.mutation_tree(seed, args.depth, args.prune_backtrack)
         if args.dot:
@@ -220,11 +230,13 @@ def _cmd_af(args) -> str:
         }
         return json.dumps(payload) if args.json else " ".join(str(s) for s in diagram.level_sizes)
     data = af.perron(matrix)
-    payload = matrix.to_json_dict()
-    payload["lambda"] = data.to_json_dict()
+    exact = None if data.exact is None else str(data.exact)
     if args.json:
-        return json.dumps(payload)
-    exact = data.exact_str()
+        return json.dumps({
+            "size": matrix.size,
+            "matrix": [list(r) for r in matrix.entries],
+            "lambda": {"exact": exact, "float": data.eigenvalue, "minpoly": list(data.min_polynomial)},
+        })
     return f"lambda {data.eigenvalue:.12f}" + (f" = {exact}" if exact else "")
 
 
@@ -235,7 +247,12 @@ def _cmd_field(args) -> str:
         word = parse_braid(args.braid, args.strands)
     invariant = field_of(word)
     if args.json:
-        return json.dumps(invariant.to_json_dict())
+        return json.dumps({
+            "radicand": invariant.radicand,
+            "D": invariant.field.square_free,
+            "field": invariant.field.field_str(),
+            "knot": invariant.is_knot,
+        })
     return (
         f"radicand {invariant.radicand}  D {invariant.field.square_free}  "
         f"field {invariant.field.field_str()}  knot {str(invariant.is_knot).lower()}"
@@ -249,7 +266,10 @@ def _cmd_table(args) -> str:
         pairs.append((p, q))
     rows = field_table(pairs)
     if args.json:
-        return json.dumps([row.to_json_dict() for row in rows])
+        return json.dumps([
+            {"p": row.p, "q": row.q, "radicand": row.radicand, "D": row.square_free, "field": row.field}
+            for row in rows
+        ])
     lines = [f"{'p':>3} {'q':>3} {'radicand':>9} {'D':>6}  field"]
     for row in rows:
         lines.append(f"{row.p:>3} {row.q:>3} {row.radicand:>9} {row.square_free:>6}  {row.field}")
@@ -259,9 +279,14 @@ def _cmd_table(args) -> str:
 def _cmd_report(args) -> str:
     word = parse_braid(args.braid, args.strands)
     rep = correspondence_report(word, args.max_index)
+    field = rep.invariant.field.field_str()
     if args.json:
-        return json.dumps(rep.to_json_dict())
-    lines = [f"field {rep.invariant.field.field_str()}"]
+        rows = [
+            {"index": r.index, "normal_subgroups": r.normal_subgroups, "ideals_of_norm": r.ideals_of_norm}
+            for r in rep.rows
+        ]
+        return json.dumps({"field": field, "rows": rows})
+    lines = [f"field {field}"]
     lines.append(f"{'m':>3} {'normal subgroups':>17} {'ideals of norm m':>17}")
     for row in rep.rows:
         lines.append(f"{row.index:>3} {row.normal_subgroups:>17} {row.ideals_of_norm:>17}")

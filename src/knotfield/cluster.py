@@ -59,9 +59,6 @@ class ExchangeMatrix:
     def column(self, k: int) -> tuple[int, ...]:
         return tuple(row[k - 1] for row in self.rows)
 
-    def to_json(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
 
 def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix half of mutation in direction k (1-based)."""
@@ -111,12 +108,6 @@ class Seed:
     @property
     def rank(self) -> int:
         return self.matrix.size
-
-    def to_json_dict(self) -> dict:
-        return {
-            "B": self.matrix.to_json(),
-            "vars": [v.render() for v in self.variables],
-        }
 
 
 def initial_seed(matrix: ExchangeMatrix) -> Seed:

@@ -93,9 +93,6 @@ class FreeWord:
             return "1"
         return " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in self.syllables)
 
-    def to_json(self) -> list[list[int]]:
-        return [[g, e] for g, e in self.syllables]
-
 
 @dataclass(frozen=True)
 class FreeAutomorphism:

@@ -51,9 +51,6 @@ class MonodromyMatrix:
     def __mul__(self, other: "MonodromyMatrix") -> "MonodromyMatrix":
         return MonodromyMatrix(_mat_mul(self.entries, other.entries))
 
-    def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
 
 def _mat_mul(x, y):
     return tuple(
@@ -86,14 +83,6 @@ class FieldInvariant:
     components: int
     is_knot: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "radicand": self.radicand,
-            "D": self.field.square_free,
-            "field": self.field.field_str(),
-            "knot": self.is_knot,
-        }
-
 
 def field_of(word: BraidWord) -> FieldInvariant:
     matrix = monodromy(word)
@@ -125,15 +114,6 @@ class TableRow:
     radicand: int
     square_free: int
     field: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "radicand": self.radicand,
-            "D": self.square_free,
-            "field": self.field,
-        }
 
 
 def field_table(pairs) -> list[TableRow]:

@@ -101,21 +101,6 @@ class QuadraticField:
     def field_str(self) -> str:
         return f"Q(sqrt({self.radicand_raw}))"
 
-    def to_json_dict(self, splitting_up_to: int | None = None) -> dict:
-        out = {
-            "radicand": self.radicand_raw,
-            "D": self.square_free,
-            "disc": self.discriminant,
-            "basis": self.integer_basis,
-        }
-        if splitting_up_to is not None:
-            out["splitting"] = [
-                split_prime(self, p).to_json_dict()
-                for p in range(2, splitting_up_to + 1)
-                if is_prime(p)
-            ]
-        return out
-
 
 def make_field(radicand_raw: int) -> QuadraticField:
     """Build the field data for a positive non-square radicand."""
@@ -141,12 +126,6 @@ class PrimeSplitting:
     kind: str
     root: int | None  # square root of the discriminant mod p for odd split p
 
-    def to_json_dict(self) -> dict:
-        out = {"p": self.prime, "kind": self.kind}
-        if self.root is not None:
-            out["root"] = self.root
-        return out
-
 
 def split_prime(field: QuadraticField, p: int) -> PrimeSplitting:
     if not is_prime(p):
@@ -167,13 +146,8 @@ def split_prime(field: QuadraticField, p: int) -> PrimeSplitting:
 
 
 def _sqrt_mod(a: int, p: int) -> int:
-    """Tonelli-Shanks square root of a quadratic residue mod an odd prime,
-    returned as the smaller of the two roots."""
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
+    """Tonelli-Shanks square root of a nonzero quadratic residue mod an odd
+    prime, returned as the smaller of the two roots."""
     q = p - 1
     s = 0
     while q % 2 == 0:

@@ -24,24 +24,11 @@ class CorrespondenceRow:
     normal_subgroups: int
     ideals_of_norm: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "normal_subgroups": self.normal_subgroups,
-            "ideals_of_norm": self.ideals_of_norm,
-        }
-
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
     invariant: FieldInvariant
     rows: tuple[CorrespondenceRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "field": self.invariant.field.field_str(),
-            "rows": [row.to_json_dict() for row in self.rows],
-        }
 
 
 def correspondence_report(word: BraidWord, max_index: int) -> CorrespondenceReport:

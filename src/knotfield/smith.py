@@ -1,103 +1,48 @@
 """Smith normal form of integer matrices with exact arithmetic.
 
-Row/column reduction with a smallest-pivot strategy; the divisibility chain
-d1 | d2 | ... is enforced explicitly at the end of each pivot step.  Sizes
-here are tiny (relator exponent matrices), so no effort is spent on the
-bit-growth pathologies of large SNF computations.
+Row/column reduction with a smallest-pivot strategy.  Sizes here are tiny
+(relator exponent matrices), so no effort is spent on the bit-growth
+pathologies of large SNF computations.
 """
 
 from __future__ import annotations
 
 
 def smith_invariants(matrix: list[list[int]]) -> list[int]:
-    """Return the nonzero diagonal invariants d1 | d2 | ... of the matrix."""
+    """Return the nonzero diagonal invariants d1 | d2 | ... of the matrix.
+
+    Each round takes an entry of least |value| as the pivot and reduces its
+    row and column by it.  If a remainder is left, it is the next, smaller
+    pivot.  Otherwise, if the pivot divides every other entry, |pivot| is
+    recorded and its row and column are deleted; if not, the offending row
+    is added to the pivot's row and the same pivot reduces again, which
+    leaves a remainder.  So each round either shrinks the matrix or lowers
+    the least |entry|, a positive integer, and the loop ends.  Every later
+    entry stays a multiple of a recorded pivot, which gives the chain.
+    """
     m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    t = 0
-    while t < min(rows, cols):
-        pivot = _smallest_nonzero(m, t)
-        if pivot is None:
-            break
-        _move_pivot(m, t, pivot)
+    invariants = []
+    while any(any(row) for row in m):
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v)
+        p = m[i][j]
         while True:
-            if _reduce_column(m, t):
-                continue
-            if _reduce_row(m, t):
-                continue
-            break
-        # pivot now divides everything in its row and column; clear them
-        for i in range(t + 1, rows):
-            q = m[i][t] // m[t][t]
-            if q:
-                for j in range(cols):
-                    m[i][j] -= q * m[t][j]
-        for j in range(t + 1, cols):
-            q = m[t][j] // m[t][t]
-            if q:
-                for i in range(rows):
-                    m[i][j] -= q * m[i][t]
-        offender = _nondivisible_entry(m, t)
-        if offender is not None:
-            # fold the offending row into the pivot row and redo this pivot
-            i, _ = offender
-            for j in range(cols):
-                m[t][j] += m[i][j]
-            continue
-        t += 1
-    diag = [abs(m[i][i]) for i in range(min(rows, cols)) if m[i][i] != 0]
-    return diag
-
-
-def _smallest_nonzero(m, t):
-    best = None
-    for i in range(t, len(m)):
-        for j in range(t, len(m[0])):
-            if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def _move_pivot(m, t, pivot):
-    i, j = pivot
-    if i != t:
-        m[i], m[t] = m[t], m[i]
-    if j != t:
-        for row in m:
-            row[j], row[t] = row[t], row[j]
-
-
-def _reduce_column(m, t) -> bool:
-    """Subtract multiples of the pivot row; return True if a smaller residue
-    moved into the pivot slot (reduction must restart)."""
-    changed = False
-    for i in range(t + 1, len(m)):
-        if m[i][t] % m[t][t] != 0:
-            q = m[i][t] // m[t][t]
-            for j in range(len(m[0])):
-                m[i][j] -= q * m[t][j]
-            m[i], m[t] = m[t], m[i]
-            changed = True
-    return changed
-
-
-def _reduce_row(m, t) -> bool:
-    changed = False
-    for j in range(t + 1, len(m[0])):
-        if m[t][j] % m[t][t] != 0:
-            q = m[t][j] // m[t][t]
-            for i in range(len(m)):
-                m[i][j] -= q * m[i][t]
-            for i in range(len(m)):
-                m[i][j], m[i][t] = m[i][t], m[i][j]
-            changed = True
-    return changed
-
-
-def _nondivisible_entry(m, t):
-    d = m[t][t]
-    for i in range(t + 1, len(m)):
-        for j in range(t + 1, len(m[0])):
-            if m[i][j] % d != 0:
-                return (i, j)
-    return None
+            for k, row in enumerate(m):
+                if k != i and row[j]:
+                    q = row[j] // p
+                    m[k] = [a - q * b for a, b in zip(row, m[i])]
+            for k, v in enumerate(m[i]):
+                if k != j and v:
+                    q = v // p
+                    for row in m:
+                        row[k] -= q * row[j]
+            if any(m[i][:j] + m[i][j + 1:]) or any(row[j] for k, row in enumerate(m) if k != i):
+                break
+            offender = next((row for row in m if any(v % p for v in row)), None)
+            if offender is None:
+                invariants.append(abs(p))
+                del m[i]
+                for row in m:
+                    del row[j]
+                break
+            m[i] = [a + b for a, b in zip(m[i], offender)]
+    return invariants

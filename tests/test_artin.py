@@ -203,10 +203,6 @@ class TestLinkGroupPresentation:
         assert text.startswith("⟨x1, x2 | ")
         assert text.endswith("⟩")
 
-    def test_json(self):
-        pres = GroupPresentation(2, (FreeWord.from_letters(2, [1, 2, -1]),))
-        assert pres.to_json_dict() == {"rank": 2, "relators": [[[1, 1], [2, 1], [1, -1]]]}
-
 
 class TestAbelianization:
     def test_free_group(self):

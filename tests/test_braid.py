@@ -158,10 +158,6 @@ class TestStabilize:
             stabilize(BraidWord(2, ()), sign=2)
 
 
-def test_json_rendering():
-    assert BraidWord(3, (1, -2)).to_json_dict() == {"strands": 3, "letters": [1, -2]}
-
-
 def test_letter_validation():
     with pytest.raises(GeneratorOutOfRange):
         BraidWord(3, (3,))

@@ -52,6 +52,10 @@ class TestBraidCommand:
         payload = out_json(["--strands", "3", "--json", "braid", "normalize", "1 -2 2 -1 1"])
         assert payload == {"strands": 3, "letters": [1]}
 
+    def test_normalize_json_of_reduced_word(self):
+        payload = out_json(["--json", "braid", "normalize", "1 -2"])
+        assert payload == {"strands": 3, "letters": [1, -2]}
+
     def test_generator_out_of_range_is_domain_error(self):
         result = run(["--strands", "3", "braid", "components", "3"])
         assert result.exit_code == 2
@@ -68,6 +72,19 @@ class TestLinkgroupCommand:
         result = run(["--strands", "2", "linkgroup", "present", "1 1 1"])
         assert result.exit_code == 0
         assert result.stdout.startswith("⟨x1, x2 |")
+
+    def test_present_json(self):
+        # s1 sends x1 -> x1 x2 x1^-1 and x2 -> x1; relators are x_i^-1 s1(x_i)
+        payload = out_json(["--strands", "2", "--json", "linkgroup", "present", "1"])
+        assert payload == {"rank": 2, "relators": [[[2, 1], [1, -1]], [[2, -1], [1, 1]]]}
+
+    def test_present_json_figure_eight(self):
+        # the images of s1 then s2^-1: x1 -> x1 x3 x1^-1, x2 -> x1, x3 -> x3^-1 x2 x3
+        payload = out_json(["--json", "linkgroup", "present", "1 -2"])
+        assert payload == {
+            "rank": 3,
+            "relators": [[[3, 1], [1, -1]], [[2, -1], [1, 1]], [[3, -2], [2, 1], [3, 1]]],
+        }
 
     def test_abelianize(self):
         payload = out_json(["--strands", "2", "--json", "linkgroup", "abelianize", "1 1 1"])
@@ -92,7 +109,7 @@ class TestClusterCommand:
 
     def test_mutate(self):
         payload = out_json(["--json", "cluster", "mutate", "--dirs", "1", "--polygon", "5"])
-        assert payload["vars"] == ["(x2+1)/x1", "x2"]
+        assert payload == {"B": [[0, -1], [1, 0]], "vars": ["(x2+1)/x1", "x2"]}
 
     def test_tree_dot(self):
         result = run(["--dot", "cluster", "tree", "--depth", "2"])
@@ -124,6 +141,15 @@ class TestAfCommand:
         assert payload["lambda"]["exact"] == "(3+sqrt(5))/2"
         assert payload["lambda"]["minpoly"] == [1, -3, 1]
         assert abs(payload["lambda"]["float"] - 2.618033988749895) < 1e-9
+
+    def test_perron_json_plastic(self):
+        # size 3 has no exact label; the float is the certified nearest one
+        payload = out_json(["--json", "af", "perron", "--matrix", "0,1,0;0,0,1;1,1,0"])
+        assert payload == {
+            "size": 3,
+            "matrix": [[0, 1, 0], [0, 0, 1], [1, 1, 0]],
+            "lambda": {"exact": None, "float": 1.324717957244746, "minpoly": [-1, -1, 0, 1]},
+        }
 
     def test_bratteli_dot(self):
         result = run(["--dot", "af", "bratteli", "--matrix", "2,1;1,1", "--levels", "2"])
@@ -165,6 +191,7 @@ class TestReportCommand:
         payload = out_json(["--json", "report", "correspondence", "--braid", "1 -2", "--max-index", "4"])
         assert payload["field"] == "Q(sqrt(5))"
         assert len(payload["rows"]) == 4
+        assert payload["rows"][0] == {"index": 1, "normal_subgroups": 1, "ideals_of_norm": 1}
 
     def test_non_hyperbolic(self):
         result = run(["report", "correspondence", "--braid", "1 -1", "--max-index", "2"])

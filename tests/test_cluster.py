@@ -462,10 +462,3 @@ class TestMutationTree:
             mutation_tree(polygon_seed(4), 7)
         with pytest.raises(ValueError):
             mutation_tree(polygon_seed(4), -1)
-
-
-def test_seed_json():
-    seed = mutate_seed(initial_seed(ExchangeMatrix(A2_MATRIX)), 1)
-    payload = seed.to_json_dict()
-    assert payload["vars"] == ["(x2+1)/x1", "x2"]
-    assert payload["B"] == [[0, -1], [1, 0]]

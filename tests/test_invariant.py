@@ -110,15 +110,6 @@ class TestFieldOf:
         assert invariant.radicand == 5 * fib[2 * n] ** 2
         assert invariant.field.square_free == 5
 
-    def test_json(self):
-        payload = field_of(two_generator_power_braid(1, 1)).to_json_dict()
-        assert payload == {
-            "radicand": 5,
-            "D": 5,
-            "field": "Q(sqrt(5))",
-            "knot": True,
-        }
-
 
 class TestFieldTable:
     def test_paper_grid_radicands(self):

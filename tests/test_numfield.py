@@ -54,6 +54,7 @@ def primes_below(n):
 class TestMakeField:
     def test_golden(self):
         field = make_field(5)
+        assert field.radicand_raw == 5
         assert field.square_free == 5
         assert field.discriminant == 5
         assert field.integer_basis == "Z[(1+sqrt(5))/2]"
@@ -87,20 +88,6 @@ class TestMakeField:
         assert make_field(2**63 + 1).square_free == 1024819115206086201
         with pytest.raises(TooLargeToFactor, match="9261189630804300341"):
             make_field(2100001 * 2100011 * 2100031)
-
-    def test_json(self):
-        assert make_field(5).to_json_dict() == {
-            "radicand": 5,
-            "D": 5,
-            "disc": 5,
-            "basis": "Z[(1+sqrt(5))/2]",
-        }
-
-    def test_json_with_splitting(self):
-        payload = make_field(5).to_json_dict(splitting_up_to=11)
-        kinds = {entry["p"]: entry["kind"] for entry in payload["splitting"]}
-        assert kinds == {2: INERT, 3: INERT, 5: RAMIFIED, 7: INERT, 11: SPLIT}
-        assert [entry["p"] for entry in payload["splitting"]] == [2, 3, 5, 7, 11]
 
 
 class TestSquareFree:
@@ -184,6 +171,11 @@ class TestSplitPrime:
 
     def test_inert(self):
         assert split_prime(make_field(5), 13).kind == INERT
+
+    def test_primes_up_to_eleven(self):
+        field = make_field(5)
+        kinds = {p: split_prime(field, p).kind for p in (2, 3, 5, 7, 11)}
+        assert kinds == {2: INERT, 3: INERT, 5: RAMIFIED, 7: INERT, 11: SPLIT}
 
     def test_two(self):
         assert split_prime(make_field(5), 2).kind == INERT  # 5 mod 8

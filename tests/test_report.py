@@ -41,9 +41,3 @@ def test_ideal_column_matches_field_counts():
 def test_non_hyperbolic_braid_rejected():
     with pytest.raises(NonHyperbolic):
         correspondence_report(BraidWord(3, ()), 4)
-
-
-def test_json_shape():
-    payload = correspondence_report(BraidWord(3, (1, -2)), 2).to_json_dict()
-    assert payload["field"] == "Q(sqrt(5))"
-    assert payload["rows"][0] == {"index": 1, "normal_subgroups": 1, "ideals_of_norm": 1}

@@ -28,10 +28,15 @@ def test_identity():
 
 def test_divisibility_chain_random():
     rng = random.Random(30)
-    for _ in range(150):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        mat = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(1000):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        bound = rng.choice([1, 6, 100, 10**6])
+        zeros = rng.random()
+        mat = [
+            [0 if rng.random() < zeros else rng.randint(-bound, bound) for _ in range(cols)]
+            for _ in range(rows)
+        ]
         ours = smith_invariants(mat)
         assert ours == oracle_invariants(mat)
         for a, b in zip(ours, ours[1:]):
