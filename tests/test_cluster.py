@@ -9,11 +9,13 @@ them by their cluster variables.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from knotfield.cli import run
 from knotfield.cluster import (
     ExchangeMatrix,
     _mutate_seed_cached,
@@ -462,3 +464,13 @@ class TestMutationTree:
             mutation_tree(polygon_seed(4), 7)
         with pytest.raises(ValueError):
             mutation_tree(polygon_seed(4), -1)
+
+
+def test_seed_json():
+    # polygon 5 starts from the A2 seed; `cluster mutate --json` prints B and vars
+    assert polygon_seed(5).matrix.rows == A2_MATRIX
+    result = run(["--json", "cluster", "mutate", "--dirs", "1", "--polygon", "5"])
+    assert result.exit_code == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["vars"] == ["(x2+1)/x1", "x2"]
+    assert payload["B"] == [[0, -1], [1, 0]]

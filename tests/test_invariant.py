@@ -110,6 +110,16 @@ class TestFieldOf:
         assert invariant.radicand == 5 * fib[2 * n] ** 2
         assert invariant.field.square_free == 5
 
+    def test_json(self):
+        # the public fields that `field --json` prints
+        invariant = field_of(two_generator_power_braid(1, 1))
+        assert (
+            invariant.radicand,
+            invariant.field.square_free,
+            invariant.field.field_str(),
+            invariant.is_knot,
+        ) == (5, 5, "Q(sqrt(5))", True)
+
 
 class TestFieldTable:
     def test_paper_grid_radicands(self):

@@ -54,7 +54,6 @@ def primes_below(n):
 class TestMakeField:
     def test_golden(self):
         field = make_field(5)
-        assert field.radicand_raw == 5
         assert field.square_free == 5
         assert field.discriminant == 5
         assert field.integer_basis == "Z[(1+sqrt(5))/2]"
@@ -88,6 +87,16 @@ class TestMakeField:
         assert make_field(2**63 + 1).square_free == 1024819115206086201
         with pytest.raises(TooLargeToFactor, match="9261189630804300341"):
             make_field(2100001 * 2100011 * 2100031)
+
+    def test_json(self):
+        # the four attributes a JSON rendering of the field would carry
+        field = make_field(5)
+        assert (field.radicand_raw, field.square_free, field.discriminant, field.integer_basis) == (
+            5,
+            5,
+            5,
+            "Z[(1+sqrt(5))/2]",
+        )
 
 
 class TestSquareFree:

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from knotfield.braid import BraidWord
+from knotfield.cli import run
 from knotfield.errors import NonHyperbolic
 from knotfield.numfield import ideals_of_norm, make_field
 from knotfield.report import correspondence_report
@@ -41,3 +44,11 @@ def test_ideal_column_matches_field_counts():
 def test_non_hyperbolic_braid_rejected():
     with pytest.raises(NonHyperbolic):
         correspondence_report(BraidWord(3, ()), 4)
+
+
+def test_json_shape():
+    result = run(["--json", "report", "correspondence", "--braid", "1 -2", "--max-index", "2"])
+    assert result.exit_code == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["field"] == "Q(sqrt(5))"
+    assert payload["rows"][0] == {"index": 1, "normal_subgroups": 1, "ideals_of_norm": 1}
