@@ -89,8 +89,6 @@ def abelianization(presentation: GroupPresentation) -> tuple[int, list[int]]:
     and each dividing the next.
     """
     n = presentation.generator_count
-    if not presentation.relators:
-        return n, []
     matrix = [list(r.exponent_sums()) for r in presentation.relators]
     diag = smith_invariants(matrix)
     free_rank = n - len(diag)

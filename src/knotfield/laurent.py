@@ -22,20 +22,23 @@ is dropped from the box and restored from the total degree, which is what
 keeps deep cluster mutations (large homogeneous numerators) cheap.  Packed
 images above ``_PACK_BYTE_LIMIT`` fall back to direct dict arithmetic.
 
-Exact division by a non-monomial is sparse heap division (Monagan and
-Pearce, "Sparse polynomial division using a heap", 2011) in grlex order over
-signed coefficients; it touches only terms of the dividend, the divisor and
-the quotient.  ``InexactDivision`` certifies that the divisor does not divide:
-it is raised at the first remainder term whose coefficient the divisor's
-leading coefficient does not divide, or whose quotient exponent leaves the
-box ``f.max_degrees() - g.max_degrees()`` that holds every exact quotient.
-A returned quotient q satisfies q * g == f exactly.
+Exact division, by any nonzero divisor, is classical sparse division in
+grlex order over signed coefficients: a dict of pending remainder terms,
+ordered by a heap, from which each quotient term subtracts its multiple of
+the divisor.  The remainder may hold up to #f + #q * (#g - 1) terms at once
+where a heap merge would hold #q; on cluster mutation traffic that costs no
+more peak memory and runs faster.  ``InexactDivision`` certifies that the
+divisor does not divide: it is raised at the first remainder term whose
+coefficient the divisor's leading coefficient does not divide, or whose
+quotient exponent leaves the box ``f.max_degrees() - g.max_degrees()`` that
+holds every exact quotient.  A returned quotient q satisfies q * g == f
+exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from math import prod
 from operator import mul
 from typing import Mapping, Sequence
@@ -193,23 +196,7 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return Polynomial.zero(self.nvars)
-        if divisor.is_monomial():
-            exps, coeff = next(iter(divisor.terms.items()))
-            return self._div_monomial(exps, coeff)
         return _div_sparse(self, divisor)
-
-    def _div_monomial(self, exps, coeff) -> "Polynomial":
-        if coeff == 1 and not any(exps):
-            return self
-        out = {}
-        for t, c in self.terms.items():
-            if c % coeff:
-                raise InexactDivision(f"coefficient {c} not divisible by {coeff}")
-            shifted = tuple(e - s for e, s in zip(t, exps))
-            if any(e < 0 for e in shifted):
-                raise InexactDivision("monomial divisor does not divide every term")
-            out[shifted] = c // coeff
-        return Polynomial(self.nvars, out)
 
     def evaluate(self, values: Sequence) -> object:
         """Exact evaluation; use Fractions for rational points."""
@@ -353,13 +340,17 @@ def _mul_dict(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def _div_sparse(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f / g for g with at least two terms: Monagan-Pearce
-    heap division in grlex order.
+    """Exact quotient f / g for any nonzero g: classical sparse division in
+    grlex order.
 
     A monomial is one int whose base ``max(f.max_degrees()) + 1`` digits are
     its total degree followed by its exponents, so int order is grlex order
-    and monomial products are int sums.  The heap holds the next pending
-    product q_i * g_j of each quotient term q_i.
+    and monomial products are int sums.  ``rest`` maps each pending code to
+    its coefficient and starts as f; a heap holds each of its codes once,
+    pushed when the code first enters ``rest``.  Every code a quotient term
+    adds lies below the code it came from, so pops strictly decrease and a
+    code that cancels to 0 is skipped when popped.  ``rest`` may hold up to
+    #f + #q * (#g - 1) codes.
     """
     n = f.nvars
     fmax = f.max_degrees()
@@ -369,48 +360,39 @@ def _div_sparse(f: Polynomial, g: Polynomial) -> Polynomial:
         raise InexactDivision("divisor exceeds dividend in some variable")
     base = max(fmax) + 1
     weights = [base**n + base ** (n - 1 - i) for i in range(n)]
-    fterms = sorted(((sum(map(mul, e, weights)), c) for e, c in f.terms.items()), reverse=True)
     gterms = sorted(((sum(map(mul, e, weights)), c, e) for e, c in g.terms.items()), reverse=True)
-    gcodes = [t[0] for t in gterms]
-    gcoeffs = [t[1] for t in gterms]
     lead_code, lead_coeff, lead = gterms[0]
-    m = len(gterms)
-    qexps: list[tuple[int, ...]] = []
-    qcodes: list[int] = []
-    qcoeffs: list[int] = []
-    heap: list[tuple[int, int, int]] = []  # (-code of q_i * g_j, i, j)
-    k = 0
-    while k < len(fterms) or heap:
-        if heap and (k == len(fterms) or -heap[0][0] > fterms[k][0]):
-            code, coeff = -heap[0][0], 0
-        else:
-            code, coeff = fterms[k]
-            k += 1
-        while heap and heap[0][0] == -code:
-            _, i, j = heap[0]
-            coeff -= qcoeffs[i] * gcoeffs[j]
-            if j + 1 < m:
-                heapreplace(heap, (-(qcodes[i] + gcodes[j + 1]), i, j + 1))
-            else:
-                heappop(heap)
+    tail = [(code - lead_code, c) for code, c, _ in gterms[1:]]
+    rest = {sum(map(mul, e, weights)): c for e, c in f.terms.items()}
+    heap = [-code for code in rest]
+    heapify(heap)
+    quotient: dict[tuple[int, ...], int] = {}
+    while heap:
+        code = -heappop(heap)
+        coeff = rest.pop(code)
         if not coeff:
             continue
         c, r = divmod(coeff, lead_coeff)
         if r:
             raise InexactDivision(f"coefficient {coeff} not divisible by {lead_coeff}")
         exps = [0] * n
-        rest = code
+        digits = code
         for v in range(n - 1, -1, -1):
-            rest, e = divmod(rest, base)
+            digits, e = divmod(digits, base)
             e -= lead[v]
             if not 0 <= e <= box[v]:
                 raise InexactDivision("division leaves a nonzero remainder")
             exps[v] = e
-        qexps.append(tuple(exps))
-        qcodes.append(code - lead_code)
-        qcoeffs.append(c)
-        heappush(heap, (-(code - lead_code + gcodes[1]), len(qcodes) - 1, 1))
-    return Polynomial(n, dict(zip(qexps, qcoeffs)))
+        quotient[tuple(exps)] = c
+        for shift, gc in tail:
+            key = code + shift
+            old = rest.get(key)
+            if old is None:
+                rest[key] = -c * gc
+                heappush(heap, -key)
+            else:
+                rest[key] = old - c * gc
+    return Polynomial(n, quotient)
 
 
 # Laurent fractions -----------------------------------------------------------
@@ -431,7 +413,7 @@ class LaurentFraction:
             return
         content = numerator.content_exponents()
         cancel = tuple(min(c, d) for c, d in zip(content, den))
-        self.numerator = numerator._div_monomial(cancel, 1)
+        self.numerator = numerator.mul_monomial(tuple(-c for c in cancel))
         self.denominator = tuple(d - c for d, c in zip(den, cancel))
 
     @classmethod
@@ -472,7 +454,7 @@ class LaurentFraction:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero fraction")
         content = other.numerator.content_exponents()
-        stripped = other.numerator._div_monomial(content, 1)
+        stripped = other.numerator.mul_monomial(tuple(-c for c in content))
         try:
             quotient = self.numerator.exact_div(stripped)
         except InexactDivision as exc:

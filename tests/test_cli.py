@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from knotfield.cli import run
 
 
@@ -127,6 +129,19 @@ class TestClusterCommand:
         assert first.exit_code == 0
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--json", "cluster", "laurent-check", "--trials", "-5"], "--trials"),
+            (["cluster", "laurent-check", "--depth", "0"], "--depth"),
+        ],
+    )
+    def test_laurent_check_rejects_bad_counts(self, argv, flag):
+        result = run(argv)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"usage error: {flag} ")
 
     def test_unsupported_surface(self):
         result = run(["cluster", "enumerate", "--surface", "2", "0"])

@@ -174,6 +174,17 @@ class TestPolynomialRing:
             (x * x + one).exact_div(x + one)
         with pytest.raises(ZeroDivisionError):
             x.exact_div(Polynomial.zero(2))
+        # a monomial divisor takes the same route: x1*x2 / x1^2 leaves the box
+        with pytest.raises(InexactDivision):
+            (x * y).exact_div(x * x)
+        # the last quotient term x2^39 cancels the dividend's -x2^40 to 0 in
+        # the remainder, which is then skipped; with x3 added, the same 40
+        # quotient terms come first and x3 is refused after them
+        x1, x2, x3 = (Polynomial.variable(i, 3) for i in (1, 2, 3))
+        expected = Polynomial(3, {(i, 39 - i, 0): 1 for i in range(40)})
+        assert (x1**40 - x2**40).exact_div(x1 - x2) == expected
+        with pytest.raises(InexactDivision):
+            (x1**40 - x2**40 + x3).exact_div(x1 - x2)
 
     def test_coefficient_divisibility_failure(self):
         x = Polynomial.variable(1, 1)
@@ -181,6 +192,12 @@ class TestPolynomialRing:
         with pytest.raises(InexactDivision):
             x.exact_div(Polynomial.constant(1, 2))
         assert three_x.exact_div(Polynomial.constant(1, 3)) == x
+        x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+        six, four, three, two = (Polynomial.constant(2, c) for c in (6, 4, 3, 2))
+        quotient = (six * x1**3 * x2 + four * x1 * x2**2).exact_div(two * x1 * x2)
+        assert quotient == three * x1**2 + two * x2
+        with pytest.raises(InexactDivision):
+            (three * x1 + two * x2).exact_div(three * x1)
 
     def test_render(self):
         p = Polynomial(2, {(0, 1): 1, (0, 0): 1})
