@@ -24,7 +24,7 @@ from .braid import closure_components, free_reduce, parse_braid
 from .errors import DomainError
 from .invariant import field_of, field_table, two_generator_power_braid
 from .report import correspondence_report
-from .subgroups import low_index_subgroups
+from .subgroups import INDEX_CAP, low_index_subgroups
 
 
 @dataclass
@@ -140,6 +140,12 @@ def _starting_seed(args) -> cluster.Seed:
     return cluster.surface_seed(cluster.SurfaceSpec(g, n))
 
 
+def _max_index(args) -> int:
+    if not 1 <= args.max_index <= INDEX_CAP:
+        raise ValueError(f"--max-index must be between 1 and {INDEX_CAP}, got {args.max_index}")
+    return args.max_index
+
+
 def _cmd_braid(args) -> str:
     word = parse_braid(args.word, args.strands)
     if args.action == "components":
@@ -165,7 +171,7 @@ def _cmd_linkgroup(args) -> str:
             return json.dumps({"free_rank": free_rank, "torsion": torsion})
         parts = ["Z"] * free_rank + [f"Z/{t}" for t in torsion]
         return " + ".join(parts) if parts else "trivial"
-    records = low_index_subgroups(presentation, args.max_index)
+    records = low_index_subgroups(presentation, _max_index(args))
     if args.json:
         return json.dumps(
             [
@@ -280,7 +286,7 @@ def _cmd_table(args) -> str:
 
 def _cmd_report(args) -> str:
     word = parse_braid(args.braid, args.strands)
-    rep = correspondence_report(word, args.max_index)
+    rep = correspondence_report(word, _max_index(args))
     field = rep.invariant.field.field_str()
     if args.json:
         rows = [

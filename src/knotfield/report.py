@@ -5,10 +5,17 @@ bound how many normal subgroups of index m the closure's fundamental group
 has, next to how many ideals of norm m the field's ring of integers has.
 The two columns are reported together and nothing is asserted about their
 relation.
+
+The subgroup column counts the records of the normal-only low-index search
+(``low_index_subgroups(..., normal_only=True)``), which prunes every branch
+with no normal completion instead of enumerating all conjugacy classes; a
+normal subgroup is its own conjugacy class, so each record is one subgroup.
+The ideal column comes from ``numfield.ideals_of_norm``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .artin import link_group_presentation
@@ -34,10 +41,9 @@ class CorrespondenceReport:
 def correspondence_report(word: BraidWord, max_index: int) -> CorrespondenceReport:
     invariant = field_of(word)
     presentation = link_group_presentation(word)
-    records = low_index_subgroups(presentation, max_index)
-    rows = []
-    for m in range(1, max_index + 1):
-        normal = sum(1 for r in records if r.index == m and r.is_normal)
-        ideals = ideals_of_norm(invariant.field, m)
-        rows.append(CorrespondenceRow(m, normal, ideals))
-    return CorrespondenceReport(invariant, tuple(rows))
+    records = low_index_subgroups(presentation, max_index, normal_only=True)
+    normal = Counter(r.index for r in records)
+    rows = tuple(
+        CorrespondenceRow(m, normal[m], ideals_of_norm(invariant.field, m)) for m in range(1, max_index + 1)
+    )
+    return CorrespondenceReport(invariant, rows)

@@ -37,6 +37,14 @@ ever completed.  A subgroup is normal exactly when it equals all of its
 conjugates, that is, when every base renumbers the completed table to
 itself.
 
+A normal-only search (``normal_only=True``) prunes on a larger
+renumbering too.  The defined prefix fixes the comparison from a base in
+every completion, so a base that renumbers larger at a defined entry
+gives a conjugate that differs from every completed subgroup, and none of
+them is normal.  A normal table compares equal from every base at every
+node on its path, so the search still completes it, and the records are
+exactly the normal ones of the full search.
+
 The default index cap (10) keeps requests at desk scale, and the default
 node budget (10**7 definitions tried) is a hard stop for runaway searches:
 the figure-eight knot group at index <= 10 tries about 1.5 * 10**5.
@@ -48,6 +56,9 @@ from dataclasses import dataclass
 
 from .artin import GroupPresentation
 from .errors import BudgetExceeded
+
+
+INDEX_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -63,11 +74,13 @@ def low_index_subgroups(
     presentation: GroupPresentation,
     max_index: int,
     *,
-    index_cap: int = 10,
+    index_cap: int = INDEX_CAP,
     node_budget: int = 10_000_000,
+    normal_only: bool = False,
 ) -> list[SubgroupRecord]:
-    """All subgroups of index <= max_index up to conjugacy, sorted by index
-    and then by table."""
+    """All subgroups of index <= max_index up to conjugacy, or only the
+    normal ones when ``normal_only`` is set, sorted by index and then by
+    table."""
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
     if max_index > index_cap:
@@ -88,7 +101,7 @@ def low_index_subgroups(
     records: list[SubgroupRecord] = []
     budget = [node_budget, node_budget]  # remaining, total
     table: list[list[int | None]] = [[None] * ncols]
-    _search(table, rotations, max_index, budget, records)
+    _search(table, rotations, max_index, budget, normal_only, records)
     records.sort(key=lambda r: (r.index, r.coset_table))
     return records
 
@@ -98,8 +111,8 @@ def _word_to_cols(letters: list[int]) -> tuple[int, ...]:
     return tuple(2 * (abs(k) - 1) + (0 if k > 0 else 1) for k in letters)
 
 
-def _search(table, rotations, max_index, budget, out):
-    normal = _minimal(table)
+def _search(table, rotations, max_index, budget, normal_only, out):
+    normal = _minimal(table, normal_only)
     if normal is None:
         return
     slot = _first_undefined(table)
@@ -122,7 +135,7 @@ def _search(table, rotations, max_index, budget, out):
             table.append([None] * len(table[0]))
         _define(table, alpha, col, beta, trail)
         if _close_under_relators(table, rotations, trail):
-            _search(table, rotations, max_index, budget, out)
+            _search(table, rotations, max_index, budget, normal_only, out)
         for a, c in reversed(trail):
             table[a][c] = None
         if new_row:
@@ -183,15 +196,16 @@ def _scan(table, start, word, trail) -> bool:
     return True
 
 
-def _minimal(table):
+def _minimal(table, normal_only):
     """Sims' minimality test on a partial table.  None when renumbering from
-    some base coset gives a smaller table, so no completion is canonical;
+    some base coset gives a smaller table, so no completion is canonical, or
+    with ``normal_only`` any different table, so no completion is normal;
     otherwise whether every base renumbered the defined entries to
     themselves, which on a complete table means the subgroup is normal."""
     normal = True
     for base in range(1, len(table)):
         sign = _compare_renumbered(table, base)
-        if sign < 0:
+        if sign < 0 or (sign and normal_only):
             return None
         if sign > 0:
             normal = False

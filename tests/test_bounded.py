@@ -71,3 +71,17 @@ def test_bratteli_levels_are_refused_in_time():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("BudgetExceeded: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "braid",
+    [
+        # the full conjugacy-class search took about 20 s and 11 s on these
+        # (CPython 3.11, 2 vCPUs); the normal-only search about 0.5 s
+        pytest.param("-1 2 -1 2 2", id="report-five-letters"),
+        pytest.param("1 -2 1 -2 1 -2", id="report-borromean-rings"),
+    ],
+)
+def test_correspondence_report_is_bounded(braid):
+    done = _run(["report", "correspondence", "--braid", braid, "--max-index", "6"], deadline=10)
+    assert done.returncode == 0, done.stderr

@@ -222,3 +222,17 @@ class TestUsageErrors:
 
     def test_no_args(self):
         assert run([]).exit_code == 1
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["report", "correspondence", "--braid", "1 -2", "--max-index", "11"], "11"),
+            (["--json", "linkgroup", "subgroups", "1 -2", "--max-index", "11"], "11"),
+            (["linkgroup", "subgroups", "1 -2", "--max-index", "0"], "0"),
+        ],
+    )
+    def test_max_index_out_of_range(self, argv, value):
+        result = run(argv)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"usage error: --max-index must be between 1 and 10, got {value}\n"

@@ -302,6 +302,36 @@ class TestDeductionQueue:
             assert ours == oracle_class_count(pres, k), f"index {k}"
 
 
+class TestNormalOnly:
+    """The normal-only search prunes every branch with a base that
+    renumbers differently; it must return exactly the normal records of
+    the full search."""
+
+    CORPUS = [
+        ("1 -2 1 -2", 3, 8),
+        ("1 1 1 -2", 3, 8),
+        ("1 1 -2 -2", 3, 6),
+        ("1 1 1 1 1", 2, 8),
+        ("1 -2 3 -2", 4, 6),
+        ("1 -2 1 -2 1 -2", 3, 5),
+        ("-1 2 -1 2 2", 3, 5),
+    ]
+
+    @pytest.mark.parametrize("text, strands, max_index", CORPUS)
+    def test_equals_filtered_full_search(self, text, strands, max_index):
+        presentation = link_group_presentation(BraidWord(strands, tuple(int(v) for v in text.split())))
+        full = low_index_subgroups(presentation, max_index)
+        normal = low_index_subgroups(presentation, max_index, normal_only=True)
+        assert normal == [r for r in full if r.is_normal]
+        assert all(oracle_is_normal(r, presentation) for r in normal)
+
+    def test_budget_exceeded(self):
+        with pytest.raises(
+            BudgetExceeded, match="node budget of 5 definitions exhausted at max_index 4"
+        ):
+            low_index_subgroups(FREE_2, 4, node_budget=5, normal_only=True)
+
+
 class TestUnknotPresentation:
     def test_infinite_cyclic_counts(self):
         # the closure of s1 s2^-1 is unknotted, so its group is infinite cyclic:
