@@ -9,18 +9,25 @@ Polynomials and Laurent fractions are immutable values: an operation may
 return one of its operands (``p * 1``, ``p ** 1`` and a zero-shift
 ``mul_monomial`` return ``p`` itself), so ``.terms`` must never be mutated.
 
-Heavy products are performed by packing polynomials into single big
-integers (one fixed-width little-endian slot per point of the mixed-radix
-exponent box) so that polynomial multiplication becomes one machine-level
-integer multiplication.  The images are signed: each is the image of the
-positive coefficients minus that of the absolute values of the negative
-ones, and the product is unpacked in balanced slots, where every slot is
-read relative to half its range.  The slot width keeps a bound on every
-product coefficient below that half, so no borrow crosses a slot.  When
-both operands are homogeneous the variable with the widest exponent range
-is dropped from the box and restored from the total degree, which is what
-keeps deep cluster mutations (large homogeneous numerators) cheap.  Packed
-images above ``_PACK_BYTE_LIMIT`` fall back to direct dict arithmetic.
+Products are Kronecker substitutions: each operand becomes one big integer
+(one fixed-width little-endian slot per point of a mixed-radix exponent
+box) and the product is one integer multiplication, or one squaring when
+both operands are the same object.  The box spans the lattice of the
+operands' supports: for each variable the offset is the sum of the two
+least exponents and the step is the gcd of every exponent difference in
+either operand, so a slot index digit k stands for the exponent
+offset + step * k.  Cluster exchange relations square variables, so deep
+torus numerators have exponents of one parity and pack into about a
+quarter of the box from 0 to the greatest exponent.  The images are
+signed: each is the image of the positive coefficients minus that of the
+absolute values of the negative ones, and the product is unpacked in
+balanced slots, where every slot is read relative to half its range.  The
+slot width keeps a bound on every product coefficient below that half, so
+no borrow crosses a slot.  When both operands are homogeneous the variable
+with the widest lattice extent is dropped from the box and restored from
+the total degree.  A product with no more term pairs than box slots, or
+whose image would exceed ``_PACK_BYTE_LIMIT`` bytes, runs on dicts
+instead.
 
 Exact division, by any nonzero divisor, is classical sparse division in
 grlex order over signed coefficients: a dict of pending remainder terms,
@@ -39,8 +46,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import prod
-from operator import mul
+from itertools import product, repeat
+from math import gcd, prod
+from operator import mul, sub
 from typing import Mapping, Sequence
 
 from .errors import NonLaurentResult
@@ -70,6 +78,17 @@ class Polynomial:
         self.terms = clean
         self._key = None
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
+        """Wrap ``terms`` without validation.  Only for dicts that are clean by
+        construction: nonzero coefficients and tuples of ``nvars``
+        nonnegative exponents.  The polynomial takes ownership of the dict."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        poly._key = None
+        return poly
+
     # construction ----------------------------------------------------------
 
     @classmethod
@@ -96,19 +115,15 @@ class Polynomial:
         return len(self.terms) == 1
 
     def max_degrees(self) -> tuple[int, ...]:
-        out = [0] * self.nvars
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > out[i]:
-                    out[i] = e
-        return tuple(out)
+        if not self.terms:
+            return (0,) * self.nvars
+        return tuple(map(max, zip(*self.terms)))
 
     def content_exponents(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms (the monomial content)."""
         if not self.terms:
             return (0,) * self.nvars
-        out = [min(exps[i] for exps in self.terms) for i in range(self.nvars)]
-        return tuple(out)
+        return tuple(map(min, zip(*self.terms)))
 
     def total_degree(self) -> int:
         return max((sum(exps) for exps in self.terms), default=0)
@@ -151,7 +166,7 @@ class Polynomial:
                 terms[exps] = new
             else:
                 terms.pop(exps, None)
-        return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -243,29 +258,39 @@ class Polynomial:
 # packing internals -----------------------------------------------------------
 
 
-def _choose_drop(a: Polynomial, b: Polynomial) -> int | None:
-    """Variable index to drop when both operands are homogeneous."""
-    if not (a.is_homogeneous() and b.is_homogeneous()):
+def _lattice(poly: Polynomial) -> tuple[list[int], list[int], list[int]]:
+    """Per variable: the least exponent, the gcd of the exponents' differences
+    (0 when they are all equal) and the greatest exponent."""
+    lo, step, hi = [], [], []
+    for column in zip(*poly.terms):
+        least = min(column)
+        lo.append(least)
+        step.append(gcd(*map(sub, column, repeat(least))))
+        hi.append(max(column))
+    return lo, step, hi
+
+
+def _choose_drop(a: Polynomial, b: Polynomial, extents: list[int]) -> int | None:
+    """Variable to drop when both operands are homogeneous: the one with the
+    widest lattice extent."""
+    if not (a.is_homogeneous() and (b is a or b.is_homogeneous())):
         return None
-    extents = [x + y for x, y in zip(a.max_degrees(), b.max_degrees())]
-    return max(range(len(extents)), key=lambda i: extents[i])
+    return max(range(len(extents)), key=extents.__getitem__)
 
 
-def _pack(poly: Polynomial, strides, slot_bytes, drop) -> int:
+def _pack(poly: Polynomial, lo, axes, slot_bytes) -> int:
     """Signed Kronecker image: the sum of coeff * 256**(slot_bytes * idx)
-    over the terms, idx being the exponent's index in the box.  Positive
-    coefficients and the absolute values of negative ones fill two byte
-    buffers, and the image is the difference of the two."""
+    over the terms, idx being the index of the exponent's lattice point in
+    the box, the sum of (e_i - lo_i) // step * stride over the packed
+    ``axes`` (i, step, stride).  Positive coefficients and the absolute
+    values of negative ones fill two byte buffers, and the image is the
+    difference of the two."""
     size = 0
     chunks: list[tuple[int, int]] = []
     for exps, coeff in poly.terms.items():
         idx = 0
-        s = 0
-        for i, e in enumerate(exps):
-            if i == drop:
-                continue
-            idx += e * strides[s]
-            s += 1
+        for i, step, stride in axes:
+            idx += (exps[i] - lo[i]) // step * stride
         chunks.append((idx, coeff))
         if idx >= size:
             size = idx + 1
@@ -278,51 +303,57 @@ def _pack(poly: Polynomial, strides, slot_bytes, drop) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _unpack(value: int, slot_bytes, extents, drop, degree) -> dict:
-    """Inverse of _pack over the whole box; ``degree`` restores the dropped
-    exponent (or None).  Adds half = 2**(8*slot_bytes - 1) to every slot
-    and reads each slot minus half; no borrow crosses a slot because every
-    |coefficient| < half."""
+def _unpack(value: int, slot_bytes, axes, drop, degree) -> dict:
+    """Inverse of _pack over the whole box.  Digit k of the slot index on a
+    packed axis (offset, step, extent) is the exponent offset + step * k;
+    ``degree`` restores the dropped exponent (or None).  Adds half =
+    2**(8*slot_bytes - 1) to every slot and reads each slot minus half; no
+    borrow crosses a slot because every |coefficient| < half."""
     half = 1 << (8 * slot_bytes - 1)
     zero = half.to_bytes(slot_bytes, "little")
-    nslots = prod(extents)
+    nslots = prod(extent for _, _, extent in axes)
     value += int.from_bytes(zero * nslots, "little")
     data = value.to_bytes(nslots * slot_bytes, "little")
+    # the first axis varies fastest in the slot index, the last in product()
+    points = product(*[range(o, o + s * x, s) for o, s, x in reversed(axes)])
+    starts = range(0, nslots * slot_bytes, slot_bytes)
     out: dict[tuple[int, ...], int] = {}
-    for idx in range(nslots):
-        chunk = data[idx * slot_bytes : (idx + 1) * slot_bytes]
+    for point, start in zip(points, starts):
+        chunk = data[start : start + slot_bytes]
         if chunk == zero:
             continue
-        exps = []
-        rem = idx
-        for extent in extents:
-            rem, e = divmod(rem, extent)
-            exps.append(e)
+        exps = point[::-1]
         if drop is not None:
-            exps.insert(drop, degree - sum(exps))
-        out[tuple(exps)] = int.from_bytes(chunk, "little") - half
+            exps = exps[:drop] + (degree - sum(exps),) + exps[drop:]
+        out[exps] = int.from_bytes(chunk, "little") - half
     return out
 
 
 def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
-    drop = _choose_drop(a, b)
-    extents = [
-        x + y + 1
-        for i, (x, y) in enumerate(zip(a.max_degrees(), b.max_degrees()))
-        if i != drop
-    ]
-    strides = []
-    acc = 1
-    for extent in extents:
-        strides.append(acc)
-        acc *= extent
+    """Product in the lattice both supports span: per variable, offset the
+    sum of the least exponents and step the gcd of every exponent
+    difference in either operand.  A square (``b is a``) packs once."""
+    alo, astep, ahi = _lattice(a)
+    blo, bstep, bhi = (alo, astep, ahi) if b is a else _lattice(b)
+    steps = [gcd(s, t) or 1 for s, t in zip(astep, bstep)]
+    extents = [(x - l + y - m) // s + 1 for x, l, y, m, s in zip(ahi, alo, bhi, blo, steps)]
+    drop = _choose_drop(a, b, extents)
+    axes = []
+    slots = 1
+    for i, (step, extent) in enumerate(zip(steps, extents)):
+        if i != drop:
+            axes.append((i, step, slots))
+            slots *= extent
     bound = min(a._sum_abs() * b._max_abs(), a._max_abs() * b._sum_abs())
     slot_bytes = (bound.bit_length() + 8) // 8
-    if acc * slot_bytes > _PACK_BYTE_LIMIT:
+    # no more term pairs than slots: the dict product is cheaper
+    if len(a.terms) * len(b.terms) <= slots or slots * slot_bytes > _PACK_BYTE_LIMIT:
         return _mul_dict(a, b)
+    image = _pack(a, alo, axes, slot_bytes)
+    packed = image * image if b is a else image * _pack(b, blo, axes, slot_bytes)
     degree = a.total_degree() + b.total_degree() if drop is not None else None
-    product = _pack(a, strides, slot_bytes, drop) * _pack(b, strides, slot_bytes, drop)
-    return Polynomial(a.nvars, _unpack(product, slot_bytes, extents, drop, degree))
+    spans = [(alo[i] + blo[i], step, extents[i]) for i, step, _ in axes]
+    return Polynomial._trusted(a.nvars, _unpack(packed, slot_bytes, spans, drop, degree))
 
 
 def _mul_dict(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -336,7 +367,7 @@ def _mul_dict(a: Polynomial, b: Polynomial) -> Polynomial:
                 out[key] = new
             else:
                 del out[key]
-    return Polynomial(a.nvars, out)
+    return Polynomial._trusted(a.nvars, out)
 
 
 def _div_sparse(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -392,7 +423,7 @@ def _div_sparse(f: Polynomial, g: Polynomial) -> Polynomial:
                 heappush(heap, -key)
             else:
                 rest[key] = old - c * gc
-    return Polynomial(n, quotient)
+    return Polynomial._trusted(n, quotient)
 
 
 # Laurent fractions -----------------------------------------------------------

@@ -7,7 +7,9 @@ homogeneous fast path.  Division is checked by re-multiplying every
 quotient, and every refusal against sympy's division over the rationals.
 """
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotfield import laurent
+from knotfield.cluster import SurfaceSpec, mutate_seed, surface_seed
 from knotfield.errors import NonLaurentResult
 from knotfield.laurent import InexactDivision, LaurentFraction, Polynomial
 
@@ -74,6 +77,58 @@ def polynomial_pairs(draw, **kwargs):
     return draw(polynomials(nvars=n, **kwargs)), draw(polynomials(nvars=n, **kwargs))
 
 
+@st.composite
+def lattice_polynomials(draw, nvars, step, homogeneous):
+    """Exponents offset_i + step_i * k_i with a fresh offset in 0..5 per
+    variable.  Homogeneous ones share one step and take k with a fixed
+    sum; the others take each k_i in 0..2 (0..1 for three variables), so
+    the operands fill much of their box and most products are packed."""
+    offset = [draw(st.integers(0, 5)) for _ in range(nvars)]
+    if homogeneous:
+        total = draw(st.integers(1, 3))
+        points = [k for k in itertools.product(range(total + 1), repeat=nvars) if sum(k) == total]
+    else:
+        points = list(itertools.product(range(3 if nvars < 3 else 2), repeat=nvars))
+    chosen = draw(st.lists(st.sampled_from(points), min_size=2, max_size=len(points), unique=True))
+    coeffs = st.integers(-20, 20).filter(bool) | st.sampled_from(EDGE_COEFFS)
+    terms = {tuple(o + s * e for o, s, e in zip(offset, step, k)): draw(coeffs) for k in chosen}
+    return Polynomial(nvars, terms)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two operands on lattices whose steps (1..4 per variable) are shared or
+    drawn apart, both homogeneous or both not."""
+    n = draw(st.integers(1, 3))
+    homogeneous = n > 1 and draw(st.booleans())
+    if homogeneous:
+        steps = st.integers(1, 4).map(lambda s: [s] * n)
+    else:
+        steps = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+    step = draw(steps)
+    other = step if draw(st.booleans()) else draw(steps)
+    return (
+        draw(lattice_polynomials(n, step, homogeneous)),
+        draw(lattice_polynomials(n, other, homogeneous)),
+    )
+
+
+def random_sparse(rng):
+    """20 terms in 4 variables, exponents in 0..8, odd coefficients of up to
+    64 bits with random signs."""
+    terms = {}
+    while len(terms) < 20:
+        terms[tuple(rng.randint(0, 8) for _ in range(4))] = rng.choice((1, -1)) * (rng.getrandbits(64) | 1)
+    return Polynomial(4, terms)
+
+
+def count_dict_products(monkeypatch):
+    calls = []
+    mul_dict = laurent._mul_dict
+    monkeypatch.setattr(laurent, "_mul_dict", lambda a, b: calls.append(1) or mul_dict(a, b))
+    return calls
+
+
 class TestPolynomialRing:
     @settings(max_examples=300, deadline=None)
     @given(polynomial_pairs())
@@ -126,6 +181,18 @@ class TestPolynomialRing:
         with pytest.raises(InexactDivision):
             (x1**160).exact_div(x1 - x2 - x3)
 
+    def test_division_leaving_box_early_is_refused_at_once(self):
+        # the quotient box is (799, 0, 0): the second quotient term
+        # x1^798 * x2 already leaves it.  A check of the lower bound alone
+        # would run on through about 320000 quotient terms before the
+        # exponent of x1 goes negative.
+        x1, x2, x3 = (Polynomial.variable(i, 3) for i in (1, 2, 3))
+        f = x1**800 + x2 * x3
+        start = time.perf_counter()
+        with pytest.raises(InexactDivision):
+            f.exact_div(x1 - x2 - x3)
+        assert time.perf_counter() - start < 0.25
+
     @settings(max_examples=200, deadline=None)
     @given(polynomials(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
     def test_evaluation_is_ring_hom(self, poly, point):
@@ -134,18 +201,72 @@ class TestPolynomialRing:
         assert square.evaluate(values) == poly.evaluate(values) ** 2
 
     def test_dict_fallback(self, monkeypatch):
-        # the packed box would hold 12001 * 12001 * 2 slots, above the limit,
-        # so the product runs on dicts without allocating it; the two
-        # x1^6000 * x2^6000 terms cancel
-        calls = []
-        mul_dict = laurent._mul_dict
-        monkeypatch.setattr(laurent, "_mul_dict", lambda a, b: calls.append(1) or mul_dict(a, b))
+        # exponents 0, 1 and 6000 have gcd 1, so the lattice box holds
+        # 12001 * 12001 * 2 slots, above the limit; the product runs on
+        # dicts without allocating it, and the two x1^6000 * x2^6000 terms
+        # cancel
+        calls = count_dict_products(monkeypatch)
         x1, x2, x3 = (Polynomial.variable(i, 3) for i in (1, 2, 3))
         one, two, three = (Polynomial.constant(3, c) for c in (1, 2, 3))
-        a = x1**6000 - x2**6000 + two * x3
+        a = x1**6000 - x2**6000 + two * x3 + x1
         b = three * (x1**6000 + x2**6000) + x2 - one
         assert a * b == naive_mul(a, b)
         assert calls == [1]
+
+    def test_far_exponents_pack_in_their_lattice(self, monkeypatch):
+        # fourth powers of the x^6000 trinomials (expanded by naive_mul):
+        # exponents are multiples of 6000, so the lattice box is 9 * 9
+        # slots for 15 * 15 term pairs, where the box from 0 would hold
+        # 48001 * 48001
+        x1, x2 = (Polynomial.variable(i, 3) for i in (1, 2))
+        one, two, three = (Polynomial.constant(3, c) for c in (1, 2, 3))
+        p = x1**6000 - x2**6000 + two
+        q = three * (x1**6000 + x2**6000) - one
+        a = naive_mul(naive_mul(p, p), naive_mul(p, p))
+        b = naive_mul(naive_mul(q, q), naive_mul(q, q))
+        calls = count_dict_products(monkeypatch)
+        assert a * b == naive_mul(a, b)
+        assert a * a == naive_mul(a, a)
+        assert calls == []
+
+    def test_pack_byte_limit(self, monkeypatch):
+        # a dense square whose image exceeds the limit is not packed
+        x1, x2 = (Polynomial.variable(i, 2) for i in (1, 2))
+        a = (x1 - x2 + Polynomial.constant(2, 1)) ** 6
+        monkeypatch.setattr(laurent, "_PACK_BYTE_LIMIT", 64)
+        calls = count_dict_products(monkeypatch)
+        assert a * a == naive_mul(a, a)
+        assert calls == [1]
+
+    def test_sparse_mixed_sign_product_runs_on_dicts(self, monkeypatch):
+        # 20 * 20 term pairs against a box of 17**4 slots: the packed image
+        # would be mostly empty, so the product is term by term
+        rng = random.Random(0)
+        a, b = random_sparse(rng), random_sparse(rng)
+        calls = count_dict_products(monkeypatch)
+        assert a * b == naive_mul(a, b)
+        assert calls == [1]
+
+    def test_torus_square_is_packed(self, monkeypatch):
+        # the largest numerator after 8 torus mutations, squared as the next
+        # exchange relation does: 340 * 340 term pairs in a 33 * 59 box
+        seed = surface_seed(SurfaceSpec(1, 1))
+        for k in (1, 2, 3, 2, 3, 1, 3, 1):
+            seed = mutate_seed(seed, k)
+        a = max((v.numerator for v in seed.variables), key=lambda p: len(p.terms))
+        calls = count_dict_products(monkeypatch)
+        assert a * a == naive_mul(a, a)
+        assert calls == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_pairs(), st.data())
+    def test_lattice_products(self, pair, data):
+        a, b = pair
+        point = [Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))) for _ in range(a.nvars)]
+        for left, right in ((a, a), (a, b)):
+            product = left * right
+            assert product == naive_mul(left, right)
+            assert product.evaluate(point) == left.evaluate(point) * right.evaluate(point)
 
     def test_homogeneous_path(self):
         # both operands homogeneous triggers the dropped-variable packing in
@@ -213,6 +334,17 @@ class TestPolynomialRing:
             Polynomial(2, {(1,): 1})
         with pytest.raises(ValueError):
             Polynomial(2, {(-1, 0): 1})
+
+
+    def test_public_construction_still_checks(self):
+        # only internal results that are clean by construction skip the checks
+        x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+        with pytest.raises(ValueError):
+            Polynomial(2, {(0, 1): 1, (1, -1): 2})
+        with pytest.raises(ValueError):
+            (x1 + x2).mul_monomial((-1, 0))
+        assert Polynomial(2, {(1, 0): 0, (0, 1): 3}).terms == {(0, 1): 3}
+        assert (x1 + x2).mul_monomial((1, 1), 0).is_zero()
 
 
 class TestLaurentFraction:
