@@ -65,9 +65,6 @@ class Permutation:
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))
 
-    def apply(self, point: int) -> int:
-        return self.images[point - 1]
-
     def then(self, other: "Permutation") -> "Permutation":
         """Composite that applies ``self`` first, then ``other``."""
         return Permutation(tuple(other.images[i - 1] for i in self.images))

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from . import af, cluster
-from .artin import abelianization, link_group_presentation
+from .artin import link_group_presentation
 from .braid import closure_components, free_reduce, parse_braid
 from .errors import DomainError
 from .invariant import field_of, field_table, two_generator_power_braid
@@ -159,18 +159,18 @@ def _cmd_braid(args) -> str:
 
 def _cmd_linkgroup(args) -> str:
     word = parse_braid(args.word, args.strands)
+    if args.action == "abelianize":
+        # H1 of a closed braid's complement is free on its components
+        components = closure_components(word)
+        if args.json:
+            return json.dumps({"free_rank": components, "torsion": []})
+        return " + ".join(["Z"] * components)
     presentation = link_group_presentation(word)
     if args.action == "present":
         if args.json:
             relators = [[list(s) for s in r.syllables] for r in presentation.relators]
             return json.dumps({"rank": presentation.generator_count, "relators": relators})
         return str(presentation)
-    if args.action == "abelianize":
-        free_rank, torsion = abelianization(presentation)
-        if args.json:
-            return json.dumps({"free_rank": free_rank, "torsion": torsion})
-        parts = ["Z"] * free_rank + [f"Z/{t}" for t in torsion]
-        return " + ".join(parts) if parts else "trivial"
     records = low_index_subgroups(presentation, _max_index(args))
     if args.json:
         return json.dumps(

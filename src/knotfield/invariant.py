@@ -48,9 +48,6 @@ class MonodromyMatrix:
     def is_hyperbolic(self) -> bool:
         return abs(self.trace) > 2
 
-    def __mul__(self, other: "MonodromyMatrix") -> "MonodromyMatrix":
-        return MonodromyMatrix(_mat_mul(self.entries, other.entries))
-
 
 def _mat_mul(x, y):
     return tuple(

@@ -223,36 +223,26 @@ class Polynomial:
             total += term
         return total
 
-    def render(self, names: Sequence[str] | None = None) -> str:
+    def render(self) -> str:
         if not self.terms:
             return "0"
-        names = names or [f"x{i}" for i in range(1, self.nvars + 1)]
         ordered = sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
-        pieces = []
+        text = ""
         for exps, coeff in ordered:
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(coeff))] + factors)
-            sign = "-" if coeff < 0 else "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += sign + body
-        return text
+            factors = _monomial_factors(exps)
+            if abs(coeff) != 1 or not factors:
+                factors.insert(0, str(abs(coeff)))
+            text += ("-" if coeff < 0 else "+") + "*".join(factors)
+        return text.removeprefix("+")
 
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars:
             raise ValueError("polynomials over different variable counts")
+
+
+def _monomial_factors(exps: Sequence[int]) -> list[str]:
+    """The factors x1, x2^3, ... of a monomial with nonnegative exponents."""
+    return [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e]
 
 
 # packing internals -----------------------------------------------------------
@@ -385,10 +375,8 @@ def _div_sparse(f: Polynomial, g: Polynomial) -> Polynomial:
     """
     n = f.nvars
     fmax = f.max_degrees()
-    # every exact quotient lies in this box: degrees in one variable add
+    # every exact quotient lies in this box (degrees in one variable add); it is empty if a side is < 0
     box = [a - b for a, b in zip(fmax, g.max_degrees())]
-    if min(box) < 0:
-        raise InexactDivision("divisor exceeds dividend in some variable")
     base = max(fmax) + 1
     weights = [base**n + base ** (n - 1 - i) for i in range(n)]
     gterms = sorted(((sum(map(mul, e, weights)), c, e) for e, c in g.terms.items()), reverse=True)
@@ -517,15 +505,9 @@ class LaurentFraction:
             den *= v**e
         return Fraction(num, den) if not isinstance(num, Fraction) else num / den
 
-    def render(self, names: Sequence[str] | None = None) -> str:
-        names = names or [f"x{i}" for i in range(1, self.nvars + 1)]
-        num = self.numerator.render(names)
-        factors = []
-        for name, e in zip(names, self.denominator):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
+    def render(self) -> str:
+        num = self.numerator.render()
+        factors = _monomial_factors(self.denominator)
         if not factors:
             return num
         den = "*".join(factors)

@@ -151,11 +151,11 @@ def _first_undefined(table):
 
 
 def _define(table, alpha, col, beta, trail):
+    """Set the edge alpha -col-> beta and its inverse; both slots are free."""
     table[alpha][col] = beta
+    table[beta][col ^ 1] = alpha
     trail.append((alpha, col))
-    if table[beta][col ^ 1] is None:
-        table[beta][col ^ 1] = alpha
-        trail.append((beta, col ^ 1))
+    trail.append((beta, col ^ 1))
 
 
 def _close_under_relators(table, rotations, trail) -> bool:
@@ -189,9 +189,7 @@ def _scan(table, start, word, trail) -> bool:
     if j == i:
         return f == b
     if j == i + 1:
-        # one missing edge with both endpoints known: forced definition
-        if table[b][word[i] ^ 1] is not None and table[b][word[i] ^ 1] != f:
-            return False
+        # one missing edge with both endpoints known, both slots free: forced definition
         _define(table, f, word[i], b, trail)
     return True
 

@@ -415,3 +415,22 @@ class TestDot:
         node_count = sum(line.count('"v') for line in dot.splitlines() if "rank=same" in line)
         assert node_count == 11
         assert '"v2_6"' in dot and '"v2_7"' not in dot
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: QuadraticSurd.make(1, 1, 0, 2), id="surd-radicand-zero"),
+        pytest.param(lambda: QuadraticSurd.make(1, 1, -5, 2), id="surd-radicand-negative"),
+        pytest.param(lambda: BratteliDiagram((1, 1), (((-1,),),)), id="bratteli-negative-multiplicity"),
+        pytest.param(lambda: stationary_diagram(IncidenceMatrix(((2, 1), (1, 1))), 0), id="diagram-no-levels"),
+    ],
+)
+def test_input_checks(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_surd_with_negative_div_is_normalized():
+    # (1 + sqrt(20)) / -2 = (-1 - 2*sqrt(5)) / 2
+    assert QuadraticSurd.make(1, 1, 20, -2) == QuadraticSurd(-1, -2, 5, 2)

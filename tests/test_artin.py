@@ -220,3 +220,11 @@ class TestAbelianization:
         assert free_rank == 0
         assert torsion == [2, 4]
         assert torsion[1] % torsion[0] == 0
+
+
+def test_input_checks():
+    with pytest.raises(ValueError, match="sign"):
+        artin_generator(1, 2, 3)
+    with pytest.raises(ValueError, match="rank"):
+        GroupPresentation(2, (FreeWord.generator(1, 3),))
+    assert str(GroupPresentation(2, ())) == "⟨x1, x2 |⟩"

@@ -85,3 +85,12 @@ def test_bratteli_levels_are_refused_in_time():
 def test_correspondence_report_is_bounded(braid):
     done = _run(["report", "correspondence", "--braid", braid, "--max-index", "6"], deadline=10)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("power", [16, 64])
+def test_abelianize_long_braid_is_bounded(power):
+    # Artin's relators for (1 -2)^16 run to gigabytes; H1 comes from the
+    # closure permutation, a 3-cycle for every power prime to 3
+    done = _run(["linkgroup", "abelianize", " ".join(["1 -2"] * power)], deadline=5)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "Z\n"

@@ -163,3 +163,14 @@ def test_letter_validation():
         BraidWord(3, (3,))
     with pytest.raises(GeneratorOutOfRange):
         BraidWord(2, (0,))
+
+
+def test_input_checks():
+    with pytest.raises(ValueError, match="strand count"):
+        BraidWord(0, ())
+    with pytest.raises(StrandMismatch):
+        BraidWord(3, (1,)) * BraidWord(4, (1,))
+    assert str(BraidWord(3, ())) == "<empty>"
+    with pytest.raises(GeneratorOutOfRange):
+        parse_braid("s0", 3)
+    assert parse_braid("s1^0", 3).letters == ()

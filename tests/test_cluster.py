@@ -474,3 +474,16 @@ def test_seed_json():
     payload = json.loads(result.stdout)
     assert payload["vars"] == ["(x2+1)/x1", "x2"]
     assert payload["B"] == [[0, -1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: ExchangeMatrix(((0, 1), (-1, 0), (0, 0))), id="non-square-matrix"),
+        pytest.param(lambda: Seed((), ExchangeMatrix(((0,),))), id="seed-length-mismatch"),
+        pytest.param(lambda: SurfaceSpec(-1, 3), id="negative-genus"),
+    ],
+)
+def test_input_checks(build):
+    with pytest.raises(ValueError):
+        build()

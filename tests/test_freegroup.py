@@ -104,3 +104,15 @@ class TestFreeAutomorphism:
     def test_image_count_guard(self):
         with pytest.raises(ValueError):
             FreeAutomorphism(2, (FreeWord.identity(2),))
+
+
+def test_input_checks():
+    assert FreeWord(2, ((1, 0), (2, 1))).syllables == ((2, 1),)
+    with pytest.raises(ValueError, match="ranks"):
+        FreeWord.generator(1, 2) * FreeWord.generator(1, 3)
+    with pytest.raises(ValueError, match="image rank"):
+        FreeAutomorphism(2, (FreeWord.generator(1, 3), FreeWord.generator(2, 3)))
+    with pytest.raises(ValueError, match="word rank"):
+        FreeAutomorphism.identity(2).apply(FreeWord.generator(1, 3))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        FreeAutomorphism.identity(2).then(FreeAutomorphism.identity(3))

@@ -180,3 +180,8 @@ class TestMarkovInvariance:
             report = markov_invariance(word, conj)
             assert report.equal_radicand
             checked += 1
+
+
+def test_power_braid_needs_positive_exponents():
+    with pytest.raises(ValueError, match="at least 1"):
+        two_generator_power_braid(0, 1)

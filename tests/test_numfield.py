@@ -363,3 +363,10 @@ class TestFactoredIdeal:
         field = make_field(5)
         sym = PrimeIdealSymbol(5, RAMIFIED, 0)
         assert str(FactoredIdeal(field, ((sym, 2),))) == "P5^2"
+
+
+def test_input_checks():
+    field = make_field(5)
+    with pytest.raises(ValueError, match="conjugate tag"):
+        FactoredIdeal(field, ((PrimeIdealSymbol(11, SPLIT, 2), 1),))
+    assert str(FactoredIdeal(field, ())) == "(1)"
