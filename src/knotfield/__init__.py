@@ -55,7 +55,6 @@ from .invariant import (
     MonodromyMatrix,
     field_of,
     field_table,
-    markov_invariance,
     monodromy,
     two_generator_power_braid,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "field_of",
     "two_generator_power_braid",
     "field_table",
-    "markov_invariance",
     "CorrespondenceReport",
     "correspondence_report",
 ]

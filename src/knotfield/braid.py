@@ -16,9 +16,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import GeneratorOutOfRange, MalformedToken, StrandMismatch
+from .errors import BudgetExceeded, GeneratorOutOfRange, MalformedToken, StrandMismatch
+from .freegroup import FreeWord
 
 _ALIAS = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
+
+# no braid word is built longer than this, so a short text cannot ask for
+# gigabytes of letters
+MAX_LETTERS = 10**6
+
+
+def check_length(count: int) -> None:
+    """Refuse a braid word of ``count`` letters before it is built."""
+    if count > MAX_LETTERS:
+        raise BudgetExceeded(f"braid word of {count} letters exceeds the limit of {MAX_LETTERS}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,8 @@ class Permutation:
 
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse whitespace/comma separated letters, either signed integers or
-    ``sK`` / ``sK^-1`` aliases.  Letters are kept in order, unreduced."""
+    ``sK`` / ``sK^e`` aliases.  Letters are kept in order, unreduced.  An
+    alias that would take the word past MAX_LETTERS raises BudgetExceeded."""
     letters = []
     for token in text.replace(",", " ").split():
         m = _ALIAS.match(token)
@@ -96,6 +108,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
                 raise GeneratorOutOfRange("generator index 0 does not exist")
             if power == 0:
                 continue
+            check_length(len(letters) + abs(power))
             sign = 1 if power > 0 else -1
             letters.extend([sign * index] * abs(power))
             continue
@@ -108,14 +121,8 @@ def parse_braid(text: str, strands: int) -> BraidWord:
 
 
 def free_reduce(word: BraidWord) -> BraidWord:
-    """Delete adjacent inverse pairs until none remain (single stack pass)."""
-    stack: list[int] = []
-    for k in word.letters:
-        if stack and stack[-1] == -k:
-            stack.pop()
-        else:
-            stack.append(k)
-    return BraidWord(word.strands, tuple(stack))
+    """Delete adjacent inverse pairs until none remain."""
+    return BraidWord(word.strands, tuple(FreeWord.from_letters(word.strands - 1, word.letters).letters()))
 
 
 def markov_conjugate(word: BraidWord, conjugator: BraidWord) -> BraidWord:

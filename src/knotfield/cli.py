@@ -13,6 +13,7 @@ nothing of either.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -61,6 +62,7 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     common = _common_flags()
     parser = _Parser(
@@ -270,7 +272,10 @@ def _cmd_field(args) -> str:
 def _cmd_table(args) -> str:
     pairs = []
     for token in args.pq_list:
-        p, q = (int(v) for v in token.split(","))
+        try:
+            p, q = (int(v) for v in token.split(","))
+        except ValueError:
+            raise ValueError(f"--pq-list takes integer pairs P,Q, got {token!r}") from None
         pairs.append((p, q))
     rows = field_table(pairs)
     if args.json:

@@ -297,7 +297,7 @@ def mutation_tree(seed: Seed, depth: int, prune_backtrack: bool = False) -> Brat
         rows = [[0] * len(nxt) for _ in current]
         for i, j in edges:
             rows[i][j] += 1
-        matrices.append(tuple(map(tuple, rows)))
+        matrices.append(rows)
         sizes.append(len(nxt))
         current = nxt
-    return BratteliDiagram(tuple(sizes), tuple(matrices))
+    return BratteliDiagram(sizes, matrices)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, closure_components, markov_conjugate
+from .braid import BraidWord, check_length, closure_components
 from .errors import NonHyperbolic, WrongStrandCount
 from .numfield import QuadraticField, make_field
 
@@ -101,6 +101,7 @@ def two_generator_power_braid(p: int, q: int) -> BraidWord:
     """The braid s1^p s2^-q on three strands."""
     if p < 1 or q < 1:
         raise ValueError("exponents must be at least 1")
+    check_length(p + q)
     return BraidWord(3, (1,) * p + (-2,) * q)
 
 
@@ -129,21 +130,3 @@ def field_table(pairs) -> list[TableRow]:
             )
         )
     return rows
-
-
-@dataclass(frozen=True)
-class MarkovInvarianceReport:
-    base: FieldInvariant
-    conjugated: FieldInvariant
-    equal_radicand: bool
-
-
-def markov_invariance(word: BraidWord, conjugator: BraidWord) -> MarkovInvarianceReport:
-    """Field invariants of a braid and of its conjugate; the radicands agree
-    because conjugation preserves the trace."""
-    base = field_of(word)
-    conjugated = field_of(markov_conjugate(word, conjugator))
-    report = MarkovInvarianceReport(base, conjugated, base.radicand == conjugated.radicand)
-    if not report.equal_radicand:
-        raise RuntimeError("conjugation changed the trace; matrix arithmetic is broken")
-    return report

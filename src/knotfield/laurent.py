@@ -443,10 +443,6 @@ class LaurentFraction:
     def unit_variable(cls, index: int, nvars: int) -> "LaurentFraction":
         return cls.from_polynomial(Polynomial.variable(index, nvars))
 
-    @property
-    def nvars(self) -> int:
-        return self.numerator.nvars
-
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 

@@ -45,7 +45,7 @@ them is normal.  A normal table compares equal from every base at every
 node on its path, so the search still completes it, and the records are
 exactly the normal ones of the full search.
 
-The default index cap (10) keeps requests at desk scale, and the default
+The index cap (10) keeps requests at desk scale, and the default
 node budget (10**7 definitions tried) is a hard stop for runaway searches:
 the figure-eight knot group at index <= 10 tries about 1.5 * 10**5.
 """
@@ -74,7 +74,6 @@ def low_index_subgroups(
     presentation: GroupPresentation,
     max_index: int,
     *,
-    index_cap: int = INDEX_CAP,
     node_budget: int = 10_000_000,
     normal_only: bool = False,
 ) -> list[SubgroupRecord]:
@@ -83,10 +82,8 @@ def low_index_subgroups(
     table."""
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
-    if max_index > index_cap:
-        raise ValueError(
-            f"max_index {max_index} exceeds the desk-scale cap {index_cap}; raise index_cap explicitly"
-        )
+    if max_index > INDEX_CAP:
+        raise ValueError(f"max_index {max_index} exceeds the desk-scale cap {INDEX_CAP}")
     ncols = 2 * presentation.generator_count
     relator_cols = [_word_to_cols(r.letters()) for r in presentation.relators]
     rotations: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]

@@ -56,6 +56,7 @@ def argv_corpus() -> list[list[str]]:
         for action in ("components", "normalize"):
             corpus += _formats(["braid", action, word])
     corpus += [["--strands", "0", "braid", "components", "1"], ["--strands", "-2", "braid", "normalize", ""]]
+    corpus += [["braid", "components", "s1^1000000000000"]]
 
     # linkgroup present / abelianize / subgroups
     for _ in range(15):
@@ -128,10 +129,11 @@ def argv_corpus() -> list[list[str]]:
                  ["--braid", "1 2"], ["--braid", "s1 s2^-1"]):
         corpus += _formats(["field", *argv])
     corpus += _formats(["--strands", "4", "field", "--braid", "1 -3"])
+    corpus += [["field", "--pq", "1000000000000", "1"]]
     for _ in range(10):
         pairs = [f"{rng.randint(1, 20)},{rng.randint(1, 20)}" for _ in range(rng.randint(1, 6))]
         corpus += _formats(["table", "--pq-list", *pairs])
-    for token in ("1", "x,1", "0,1"):
+    for token in ("1", "1,2,3", "x,1", "0,1"):
         corpus += _formats(["table", "--pq-list", "1,1", token])
 
     # report correspondence

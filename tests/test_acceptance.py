@@ -30,7 +30,7 @@ from knotfield.cluster import (
     surface_seed,
 )
 from knotfield.freegroup import FreeWord
-from knotfield.invariant import field_of, markov_invariance, monodromy
+from knotfield.invariant import field_of, monodromy
 from knotfield.numfield import ideal_chain, make_field, split_prime
 from knotfield.subgroups import low_index_subgroups, trace_word
 
@@ -247,8 +247,6 @@ def test_10_markov_invariance_of_field():
             conjugator = random_braid(rng, 3, 5)
             moved = markov_conjugate(braid, conjugator)
             assert field_of(moved).radicand == field_of(braid).radicand
-            report = markov_invariance(braid, conjugator)
-            assert report.equal_radicand
             checked += 1
 
 

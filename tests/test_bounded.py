@@ -94,3 +94,18 @@ def test_abelianize_long_braid_is_bounded(power):
     done = _run(["linkgroup", "abelianize", " ".join(["1 -2"] * power)], deadline=5)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "Z\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # both once expanded into 10**12 letters and died of MemoryError
+        pytest.param(["braid", "components", "s1^1000000000000"], id="braid-alias-power"),
+        pytest.param(["field", "--pq", "1000000000000", "1"], id="field-power-braid"),
+    ],
+)
+def test_long_braid_words_are_refused_in_time(args):
+    done = _run(args, deadline=2)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("BudgetExceeded: ") and done.stderr.count("\n") == 1

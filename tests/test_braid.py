@@ -61,6 +61,24 @@ class TestFreeReduce:
     def test_cascade(self):
         assert free_reduce(BraidWord(3, (1, -2, 2, -1, 1))).letters == (1,)
 
+    def test_matches_a_stack_reduction(self):
+        def stack_reduce(letters):
+            stack = []
+            for k in letters:
+                if stack and stack[-1] == -k:
+                    stack.pop()
+                else:
+                    stack.append(k)
+            return tuple(stack)
+
+        rng = random.Random(4)
+        words = [BraidWord(1, ())] + [random_word(rng, rng.randint(2, 4), max_len=30) for _ in range(499)]
+        for w in words:
+            r = free_reduce(w)
+            assert r.strands == w.strands
+            assert r.letters == stack_reduce(w.letters)
+            assert all(a != -b for a, b in zip(r.letters, r.letters[1:]))
+
     def test_idempotent(self):
         rng = random.Random(1)
         for _ in range(200):

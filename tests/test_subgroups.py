@@ -289,7 +289,7 @@ class TestDeductionQueue:
 
     def test_proper_power_gives_one_normal_class_per_divisor(self):
         # <x1 | x1^6> is cyclic of order 6: one subgroup per divisor
-        records = low_index_subgroups(presentation_from_letters(1, [[1] * 6]), 7, index_cap=7)
+        records = low_index_subgroups(presentation_from_letters(1, [[1] * 6]), 7)
         assert [r.index for r in records] == [1, 2, 3, 6]
         assert all(r.is_normal for r in records)
 
@@ -390,8 +390,6 @@ class TestGuards:
     def test_index_cap(self):
         with pytest.raises(ValueError):
             low_index_subgroups(FREE_2, 11)
-        # explicit opt-in raises the cap
-        low_index_subgroups(TRIVIAL, 11, index_cap=11)
 
     def test_bad_max_index(self):
         with pytest.raises(ValueError):
