@@ -102,8 +102,11 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     for token in text.replace(",", " ").split():
         m = _ALIAS.match(token)
         if m:
-            index = int(m.group(1))
-            power = int(m.group(2)) if m.group(2) is not None else 1
+            try:
+                index = int(m.group(1))
+                power = int(m.group(2)) if m.group(2) is not None else 1
+            except ValueError:  # past the interpreter's digit limit
+                raise MalformedToken(f"cannot read braid letter {token!r}") from None
             if index == 0:
                 raise GeneratorOutOfRange("generator index 0 does not exist")
             if power == 0:

@@ -9,22 +9,31 @@ exchange relation
 
 and transforms the matrix entrywise; both operations are involutions.  All
 arithmetic is exact integer arithmetic, and every mutated variable is again
-a Laurent fraction with monomial denominator; a division failure aborts
-with NonLaurentResult and indicates a bug, not a counterexample.
+a Laurent fraction with monomial denominator.  In general x_k' is the exact
+quotient of the right-hand side by x_k; a division failure aborts with
+NonLaurentResult and indicates a bug, not a counterexample.  Seeds reached
+from the initial seed of the once-cusped torus (matrix +-B0) are flagged
+and take a division-free route: every exchange there reads
+x_k * x_k' = x_i^2 + x_j^2 and K = (x1^2 + x2^2 + x3^2) / (x1 x2 x3) is the
+same in every seed, so x_k' = K x_i x_j - x_k (the Markov recurrence with
+variables; Propp, The combinatorics of frieze patterns and Markoff numbers,
+2005).  A ``Seed`` built directly is not flagged and divides.  An exchange
+operand of more than MAX_OPERAND_TERMS numerator terms raises
+BudgetExceeded before either route multiplies.
 
 Enumeration and mutation trees need only seed identity, so they run on
 tropical seeds (B, C, G) instead: B, the c-vectors (columns of C) and the
 g-vectors, relative to the start seed and mutated by integer rules alone
 (Fomin and Zelevinsky, Cluster algebras IV, 2007).
 
-Everything here is a pure function of immutable values; ``mutate_seed`` is
+Everything here is a pure function of immutable values; mutation is
 memoized, which makes replaying shared prefixes of direction sequences
 (random property runs) cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 
@@ -33,6 +42,14 @@ from .errors import BudgetExceeded, DirectionOutOfRange, TooSmall, UnsupportedSu
 from .laurent import LaurentFraction, Polynomial
 
 MatrixRows = tuple[tuple[int, ...], ...]
+
+# numerator terms of one exchange operand; on the torus path 1,2,3,... the
+# largest operand has 7921 terms at step 11 and 20737 at step 12
+MAX_OPERAND_TERMS = 10_000
+
+_TORUS_WITH_CUSP = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
+# (x1^2 + x2^2 + x3^2) / (x1 x2 x3), the same in every seed of the torus
+_MARKOV = LaurentFraction(Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}), (1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -60,11 +77,14 @@ class ExchangeMatrix:
         return tuple(row[k - 1] for row in self.rows)
 
 
-def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix half of mutation in direction k (1-based)."""
-    size = matrix.size
+def _check_direction(size: int, k: int):
     if not 1 <= k <= size:
         raise DirectionOutOfRange(f"direction {k} outside 1..{size}")
+
+
+def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """Matrix half of mutation in direction k (1-based)."""
+    _check_direction(matrix.size, k)
     return ExchangeMatrix(_mutate_b(matrix.rows, k - 1))
 
 
@@ -99,6 +119,10 @@ class Seed:
 
     variables: tuple[LaurentFraction, ...]
     matrix: ExchangeMatrix
+    # True only on seeds from initial_seed on +-B0 and from the Markov route,
+    # whose variables satisfy (x1^2 + x2^2 + x3^2) / (x1 x2 x3) = _MARKOV.  A
+    # seed equal to a flagged one satisfies it too, so equality ignores it.
+    _markov: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -112,34 +136,53 @@ class Seed:
 
 def initial_seed(matrix: ExchangeMatrix) -> Seed:
     n = matrix.size
-    return Seed(tuple(LaurentFraction.unit_variable(i, n) for i in range(1, n + 1)), matrix)
+    seed = Seed(tuple(LaurentFraction.unit_variable(i, n) for i in range(1, n + 1)), matrix)
+    if matrix.rows in (_TORUS_WITH_CUSP, _mutate_b(_TORUS_WITH_CUSP, 0)):  # B0 or -B0
+        object.__setattr__(seed, "_markov", True)
+    return seed
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
-    if not 1 <= k <= seed.rank:
-        raise DirectionOutOfRange(f"direction {k} outside 1..{seed.rank}")
-    return _mutate_seed_cached(seed, k)
+    _check_direction(seed.rank, k)
+    return _mutate_seed_cached(seed, k, seed._markov)
 
 
 @lru_cache(maxsize=2048)
-def _mutate_seed_cached(seed: Seed, k: int) -> Seed:
-    one = LaurentFraction.from_polynomial(Polynomial.constant(seed.rank, 1))
+def _mutate_seed_cached(seed: Seed, k: int, markov: bool) -> Seed:
+    """Mutation at k by the Markov route when ``markov`` is set, else by
+    exact division; the result carries ``markov`` as its flag."""
+    x_k = seed.variables[k - 1]
     pairs = list(zip(seed.variables, seed.matrix.column(k)))
-    plus = prod((x**b for x, b in pairs if b > 0), start=one)
-    minus = prod((x**-b for x, b in pairs if b < 0), start=one)
-    exchanged = (plus + minus).divide_exact(seed.variables[k - 1])
+    terms = max(len(x.numerator.terms) for x in (x_k, *(x for x, b in pairs if b)))
+    if terms > MAX_OPERAND_TERMS:
+        raise BudgetExceeded(f"exchange operand of {terms} terms exceeds the limit of {MAX_OPERAND_TERMS}")
+    if markov:
+        x_i, x_j = (x for i, x in enumerate(seed.variables, 1) if i != k)
+        exchanged = _MARKOV * x_i * x_j - x_k
+    else:
+        one = LaurentFraction.from_polynomial(Polynomial.constant(seed.rank, 1))
+        plus = prod((x**b for x, b in pairs if b > 0), start=one)
+        minus = prod((x**-b for x, b in pairs if b < 0), start=one)
+        exchanged = (plus + minus).divide_exact(x_k)
     variables = list(seed.variables)
     variables[k - 1] = exchanged
-    return Seed(tuple(variables), mutate_matrix(seed.matrix, k))
+    mutated = Seed(tuple(variables), mutate_matrix(seed.matrix, k))
+    object.__setattr__(mutated, "_markov", markov)
+    return mutated
 
 
 def laurent_check(seed: Seed, directions) -> bool:
     """Mutate along the sequence and return True.  The certificate is the
     exact division in each exchange (``LaurentFraction.divide_exact``): a
-    quotient that is not a Laurent polynomial raises NonLaurentResult."""
+    quotient that is not a Laurent polynomial raises NonLaurentResult.  It
+    divides on the torus too, where ``mutate_seed`` takes the division-free
+    Markov route, so the certificate stays independent of that route.  Its
+    steps are memoized apart from that route's and obey the operand term
+    limit."""
     current = seed
     for k in directions:
-        current = mutate_seed(current, k)
+        _check_direction(current.rank, k)
+        current = _mutate_seed_cached(current, k, False)
     return True
 
 
@@ -246,9 +289,6 @@ class SurfaceSpec:
     @property
     def af_rank(self) -> int:
         return 6 * self.genus - 6 + 2 * self.cusps
-
-
-_TORUS_WITH_CUSP = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
 
 
 def surface_seed(spec: SurfaceSpec) -> Seed:

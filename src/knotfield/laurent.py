@@ -169,7 +169,7 @@ class Polynomial:
         return Polynomial._trusted(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -457,6 +457,12 @@ class LaurentFraction:
         left = self.numerator.mul_monomial(tuple(d - a for d, a in zip(den, self.denominator)))
         right = other.numerator.mul_monomial(tuple(d - b for d, b in zip(den, other.denominator)))
         return LaurentFraction(left + right, den)
+
+    def __neg__(self) -> "LaurentFraction":
+        return LaurentFraction(-self.numerator, self.denominator)
+
+    def __sub__(self, other: "LaurentFraction") -> "LaurentFraction":
+        return self + (-other)
 
     def __pow__(self, n: int) -> "LaurentFraction":
         if n < 0:

@@ -56,7 +56,7 @@ def argv_corpus() -> list[list[str]]:
         for action in ("components", "normalize"):
             corpus += _formats(["braid", action, word])
     corpus += [["--strands", "0", "braid", "components", "1"], ["--strands", "-2", "braid", "normalize", ""]]
-    corpus += [["braid", "components", "s1^1000000000000"]]
+    corpus += [["braid", "components", "s1^1000000000000"], ["braid", "components", "s1^" + "9" * 5000]]
 
     # linkgroup present / abelianize / subgroups
     for _ in range(15):

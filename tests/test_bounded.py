@@ -109,3 +109,12 @@ def test_long_braid_words_are_refused_in_time(args):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("BudgetExceeded: ") and done.stderr.count("\n") == 1
+
+
+def test_deep_torus_mutation_is_refused_in_time():
+    # step 12 of the path 1,2,3,... has an operand of 20737 terms; step 11
+    # answers in about 2 s (CPython 3.11, 2 vCPUs)
+    done = _run(["cluster", "mutate", "--dirs", "1,2,3,1,2,3,1,2,3,1,2,3"], deadline=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "BudgetExceeded: exchange operand of 20737 terms exceeds the limit of 10000\n"

@@ -47,6 +47,19 @@ class TestParse:
         with pytest.raises(MalformedToken):
             parse_braid("1 x 2", 4)
 
+    @pytest.mark.parametrize(
+        "token",
+        [
+            pytest.param("9" * 5000, id="letter"),
+            pytest.param("s1^" + "9" * 5000, id="alias-power"),
+            pytest.param("s" + "9" * 5000, id="alias-index"),
+        ],
+    )
+    def test_digits_past_the_conversion_limit_are_malformed(self, token):
+        # CPython refuses int() of more than 4300 digits with its own message
+        with pytest.raises(MalformedToken, match="^cannot read braid letter '"):
+            parse_braid(token, 3)
+
     def test_letters_kept_unreduced(self):
         assert parse_braid("1 -1", 2).letters == (1, -1)
 

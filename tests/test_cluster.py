@@ -14,7 +14,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from knotfield import cluster
 from knotfield.cli import run
 from knotfield.cluster import (
     ExchangeMatrix,
@@ -35,6 +38,7 @@ from knotfield.cluster import (
 from knotfield.errors import (
     BudgetExceeded,
     DirectionOutOfRange,
+    NonLaurentResult,
     TooSmall,
     UnsupportedSurface,
 )
@@ -277,6 +281,72 @@ class TestSeedMutation:
             seed = mutate_seed(seed, 1 + step % 3)
             assert markov_ratio([v.evaluate(ones) for v in seed.variables]) == 3
             assert markov_ratio([v.evaluate(point) for v in seed.variables]) == expected
+
+
+class TestMarkovRoute:
+    # seeds from the torus take x_k' = K x_i x_j - x_k; a Seed built
+    # directly carries no flag and takes the exact division
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 3), max_size=8))
+    def test_torus_paths_match_the_division_route(self, path):
+        markov = surface_seed(SurfaceSpec(1, 1))
+        divided = Seed(markov.variables, markov.matrix)
+        for k in path:
+            markov, divided = mutate_seed(markov, k), mutate_seed(divided, k)
+            assert markov.variables == divided.variables and markov.matrix == divided.matrix
+        assert markov._markov and not divided._markov
+
+    def test_flag_comes_from_the_torus_matrix_only(self):
+        negated = tuple(tuple(-v for v in row) for row in TORUS_MATRIX)
+        assert initial_seed(ExchangeMatrix(TORUS_MATRIX))._markov
+        assert initial_seed(ExchangeMatrix(negated))._markov
+        assert not polygon_seed(6)._markov
+        assert not initial_seed(ExchangeMatrix(((0, 1, -1), (-1, 0, 1), (1, -1, 0))))._markov
+        with pytest.raises(TypeError):
+            Seed(surface_seed(SurfaceSpec(1, 1)).variables, ExchangeMatrix(TORUS_MATRIX), _markov=True)
+
+    def test_flag_is_invisible(self):
+        flagged = mutate_seed(surface_seed(SurfaceSpec(1, 1)), 2)
+        plain = Seed(flagged.variables, flagged.matrix)
+        assert flagged._markov and not plain._markov
+        assert flagged == plain
+        assert hash(flagged) == hash(plain)
+        assert repr(flagged) == repr(plain)
+
+    def test_torus_matrix_alone_takes_the_division(self):
+        # K x1 x2 - (x1 + x3) would be a Laurent polynomial, and a wrong one
+        x1, x2, x3 = surface_seed(SurfaceSpec(1, 1)).variables
+        seed = Seed((x1, x2, x1 + x3), ExchangeMatrix(TORUS_MATRIX))
+        with pytest.raises(NonLaurentResult):
+            mutate_seed(seed, 3)
+
+    def test_laurent_check_divides_on_the_torus(self, monkeypatch):
+        calls = []
+        divide = LaurentFraction.divide_exact
+        monkeypatch.setattr(LaurentFraction, "divide_exact", lambda a, b: calls.append(1) or divide(a, b))
+        _mutate_seed_cached.cache_clear()
+        seed = surface_seed(SurfaceSpec(1, 1))
+        for k in (1, 2, 3):
+            seed = mutate_seed(seed, k)
+        assert not calls
+        assert laurent_check(surface_seed(SurfaceSpec(1, 1)), [1, 2, 3])
+        assert len(calls) == 3
+
+    def test_operand_term_limit(self, monkeypatch):
+        # after six steps of the path 1,2,3,... the largest variable has 169 terms
+        monkeypatch.setattr(cluster, "MAX_OPERAND_TERMS", 100)
+        _mutate_seed_cached.cache_clear()
+        path = [1, 2, 3, 1, 2, 3, 1]
+        message = "^exchange operand of 169 terms exceeds the limit of 100$"
+        seed = surface_seed(SurfaceSpec(1, 1))
+        for k in path[:-1]:
+            seed = mutate_seed(seed, k)
+        with pytest.raises(BudgetExceeded, match=message):
+            mutate_seed(seed, path[-1])
+        assert laurent_check(surface_seed(SurfaceSpec(1, 1)), path[:-1])
+        with pytest.raises(BudgetExceeded, match=message):
+            laurent_check(surface_seed(SurfaceSpec(1, 1)), path)
 
 
 class TestLaurentCheck:

@@ -387,6 +387,8 @@ class TestLaurentFraction:
             point = [Fraction(rng.randint(1, 7)) for _ in range(n)]
             assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
             assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+            assert (a - b).evaluate(point) == a.evaluate(point) - b.evaluate(point)
+            assert (a - a).is_zero() and (a - a).denominator == (0,) * n
 
     def test_divide_exact(self):
         x2 = Polynomial.variable(2, 2)
