@@ -128,10 +128,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _integers(flag: str, text: str) -> list[int]:
+    """The comma-separated integers of ``text``; empty entries are skipped."""
+    values = []
+    for token in filter(None, text.split(",")):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"{flag} takes comma-separated integers, got {token!r}") from None
+    return values
+
+
 def _parse_matrix(text: str):
-    rows = []
-    for row in text.split(";"):
-        rows.append(tuple(int(v) for v in row.replace(" ", "").split(",") if v))
+    rows = [tuple(_integers("--matrix", row.replace(" ", ""))) for row in text.split(";")]
     return af.IncidenceMatrix(tuple(rows))
 
 
@@ -188,7 +197,7 @@ def _cmd_linkgroup(args) -> str:
 def _cmd_cluster(args) -> str:
     seed = _starting_seed(args)
     if args.action == "mutate":
-        directions = [int(v) for v in args.dirs.split(",") if v]
+        directions = _integers("--dirs", args.dirs)
         current = seed
         for k in directions:
             current = cluster.mutate_seed(current, k)

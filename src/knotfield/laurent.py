@@ -5,9 +5,9 @@ coefficients.  A Laurent fraction is a polynomial numerator over a monomial
 denominator, kept in reduced form: no variable with positive denominator
 exponent divides the numerator.
 
-Polynomials and Laurent fractions are immutable values: an operation may
-return one of its operands (``p * 1``, ``p ** 1`` and a zero-shift
-``mul_monomial`` return ``p`` itself), so ``.terms`` must never be mutated.
+Polynomials and Laurent fractions are immutable values: ``p ** 1`` and a
+zero-shift ``mul_monomial`` return ``p`` itself (a product, even ``p * 1``,
+is new), so ``.terms`` must never be mutated.
 
 Products are Kronecker substitutions: each operand becomes one big integer
 (one fixed-width little-endian slot per point of a mixed-radix exponent
@@ -23,11 +23,13 @@ signed: each is the image of the positive coefficients minus that of the
 absolute values of the negative ones, and the product is unpacked in
 balanced slots, where every slot is read relative to half its range.  The
 slot width keeps a bound on every product coefficient below that half, so
-no borrow crosses a slot.  When both operands are homogeneous the variable
-with the widest lattice extent is dropped from the box and restored from
-the total degree.  A product with no more term pairs than box slots, or
-whose image would exceed ``_PACK_BYTE_LIMIT`` bytes, runs on dicts
-instead.
+no borrow crosses a slot.  The total degree is one more lattice column;
+when its product extent is 1 the product is homogeneous, so the variable
+with the widest extent is dropped from the box and restored from the sum
+of the operands' greatest degrees.  A product with no more term pairs
+than box slots, or whose image would exceed ``_PACK_BYTE_LIMIT`` bytes,
+runs on dicts instead: every product by a monomial does, as its box has
+a slot for each term of the other operand.
 
 Exact division, by any nonzero divisor, is classical sparse division in
 grlex order over signed coefficients: a dict of pending remainder terms,
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from math import gcd, prod
 from operator import mul, sub
 from typing import Mapping, Sequence
@@ -111,9 +113,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def max_degrees(self) -> tuple[int, ...]:
         if not self.terms:
             return (0,) * self.nvars
@@ -124,13 +123,6 @@ class Polynomial:
         if not self.terms:
             return (0,) * self.nvars
         return tuple(map(min, zip(*self.terms)))
-
-    def total_degree(self) -> int:
-        return max((sum(exps) for exps in self.terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(exps) for exps in self.terms}
-        return len(degrees) <= 1
 
     def has_positive_coefficients(self) -> bool:
         return all(c > 0 for c in self.terms.values())
@@ -174,25 +166,19 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def mul_monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
+    def mul_monomial(self, exps: Sequence[int]) -> "Polynomial":
         shift = tuple(exps)
-        if coeff == 1 and not any(shift):
+        if not any(shift):
             return self
         return Polynomial(
             self.nvars,
-            {tuple(e + s for e, s in zip(t, shift)): c * coeff for t, c in self.terms.items()},
+            {tuple(e + s for e, s in zip(t, shift)): c for t, c in self.terms.items()},
         )
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.nvars)
-        if other.is_monomial():
-            exps, coeff = next(iter(other.terms.items()))
-            return self.mul_monomial(exps, coeff)
-        if self.is_monomial():
-            exps, coeff = next(iter(self.terms.items()))
-            return other.mul_monomial(exps, coeff)
         return _mul_packed(self, other)
 
     def __pow__(self, n: int) -> "Polynomial":
@@ -249,23 +235,16 @@ def _monomial_factors(exps: Sequence[int]) -> list[str]:
 
 
 def _lattice(poly: Polynomial) -> tuple[list[int], list[int], list[int]]:
-    """Per variable: the least exponent, the gcd of the exponents' differences
-    (0 when they are all equal) and the greatest exponent."""
+    """Per variable, and last for the total degree: the least value, the gcd
+    of the values' differences (0 when they are all equal) and the greatest.
+    Each column is built only when it is reached."""
     lo, step, hi = [], [], []
-    for column in zip(*poly.terms):
+    for column in chain(zip(*poly.terms), map(tuple, [map(sum, poly.terms)])):
         least = min(column)
         lo.append(least)
         step.append(gcd(*map(sub, column, repeat(least))))
         hi.append(max(column))
     return lo, step, hi
-
-
-def _choose_drop(a: Polynomial, b: Polynomial, extents: list[int]) -> int | None:
-    """Variable to drop when both operands are homogeneous: the one with the
-    widest lattice extent."""
-    if not (a.is_homogeneous() and (b is a or b.is_homogeneous())):
-        return None
-    return max(range(len(extents)), key=extents.__getitem__)
 
 
 def _pack(poly: Polynomial, lo, axes, slot_bytes) -> int:
@@ -326,8 +305,8 @@ def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
     alo, astep, ahi = _lattice(a)
     blo, bstep, bhi = (alo, astep, ahi) if b is a else _lattice(b)
     steps = [gcd(s, t) or 1 for s, t in zip(astep, bstep)]
-    extents = [(x - l + y - m) // s + 1 for x, l, y, m, s in zip(ahi, alo, bhi, blo, steps)]
-    drop = _choose_drop(a, b, extents)
+    *extents, degree_extent = [(x - l + y - m) // s + 1 for x, l, y, m, s in zip(ahi, alo, bhi, blo, steps)]
+    drop = max(range(a.nvars), key=extents.__getitem__, default=None) if degree_extent == 1 else None
     axes = []
     slots = 1
     for i, (step, extent) in enumerate(zip(steps, extents)):
@@ -341,7 +320,7 @@ def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
         return _mul_dict(a, b)
     image = _pack(a, alo, axes, slot_bytes)
     packed = image * image if b is a else image * _pack(b, blo, axes, slot_bytes)
-    degree = a.total_degree() + b.total_degree() if drop is not None else None
+    degree = ahi[-1] + bhi[-1] if drop is not None else None
     spans = [(alo[i] + blo[i], step, extents[i]) for i, step, _ in axes]
     return Polynomial._trusted(a.nvars, _unpack(packed, slot_bytes, spans, drop, degree))
 

@@ -45,9 +45,10 @@ them is normal.  A normal table compares equal from every base at every
 node on its path, so the search still completes it, and the records are
 exactly the normal ones of the full search.
 
-The index cap (10) keeps requests at desk scale, and the default
-node budget (10**7 definitions tried) is a hard stop for runaway searches:
-the figure-eight knot group at index <= 10 tries about 1.5 * 10**5.
+The index cap (10) keeps requests at desk scale, and the node budget
+``NODE_BUDGET`` (10**7 definitions tried, read at each call) is a hard stop
+for runaway searches: the figure-eight knot group at index <= 10 tries
+about 1.5 * 10**5.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .errors import BudgetExceeded
 
 
 INDEX_CAP = 10
+NODE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,6 @@ def low_index_subgroups(
     presentation: GroupPresentation,
     max_index: int,
     *,
-    node_budget: int = 10_000_000,
     normal_only: bool = False,
 ) -> list[SubgroupRecord]:
     """All subgroups of index <= max_index up to conjugacy, or only the
@@ -96,7 +97,7 @@ def low_index_subgroups(
     rotations = [list(dict.fromkeys(words + singles)) for words in rotations]
 
     records: list[SubgroupRecord] = []
-    budget = [node_budget, node_budget]  # remaining, total
+    budget = [NODE_BUDGET, NODE_BUDGET]  # remaining, total
     table: list[list[int | None]] = [[None] * ncols]
     _search(table, rotations, max_index, budget, normal_only, records)
     records.sort(key=lambda r: (r.index, r.coset_table))

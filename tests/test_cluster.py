@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotfield import cluster
@@ -289,6 +289,7 @@ class TestMarkovRoute:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(1, 3), max_size=8))
+    @example(path=[1, 2, 3] * 3)
     def test_torus_paths_match_the_division_route(self, path):
         markov = surface_seed(SurfaceSpec(1, 1))
         divided = Seed(markov.variables, markov.matrix)

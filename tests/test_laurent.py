@@ -209,11 +209,11 @@ class TestPolynomialRing:
         # 12001 * 12001 * 2 slots, above the limit; the product runs on
         # dicts without allocating it, and the two x1^6000 * x2^6000 terms
         # cancel
-        calls = count_dict_products(monkeypatch)
         x1, x2, x3 = (Polynomial.variable(i, 3) for i in (1, 2, 3))
         one, two, three = (Polynomial.constant(3, c) for c in (1, 2, 3))
         a = x1**6000 - x2**6000 + two * x3 + x1
         b = three * (x1**6000 + x2**6000) + x2 - one
+        calls = count_dict_products(monkeypatch)
         assert a * b == naive_mul(a, b)
         assert calls == [1]
 
@@ -272,14 +272,40 @@ class TestPolynomialRing:
             assert product == naive_mul(left, right)
             assert product.evaluate(point) == left.evaluate(point) * right.evaluate(point)
 
-    def test_homogeneous_path(self):
-        # both operands homogeneous triggers the dropped-variable packing in
-        # the product; the division must undo it
-        a = Polynomial(3, {(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 2})
-        b = Polynomial(3, {(1, 1, 0): 1, (0, 1, 1): 5})
-        assert a.is_homogeneous() and b.is_homogeneous()
-        assert a * b == naive_mul(a, b)
-        assert (a * b).exact_div(a) == b
+    def test_homogeneous_path(self, monkeypatch):
+        # both operands homogeneous of degree 30: x3, the widest variable, is
+        # dropped from the box (27 * 35 slots for 252 * 252 term pairs), and
+        # the division must undo it.  A constant term in one operand packs
+        # the whole 27 * 35 * 61 box and drops nothing
+        a, b = (
+            Polynomial(3, {(i, j, 30 - i - j): 1 + (s * i + j) % 5 for i in range(14) for j in range(18)})
+            for s in (2, 3)
+        )
+        drops = []
+        unpack = laurent._unpack
+        monkeypatch.setattr(laurent, "_unpack", lambda *args: drops.append(args[3]) or unpack(*args))
+        product = a * b
+        assert drops == [2]
+        assert product == naive_mul(a, b)
+        assert product.exact_div(a) == b
+        c = b + Polynomial.constant(3, 1)
+        assert a * c == naive_mul(a, c)
+        assert drops == [2, None]
+
+    def test_monomial_products_run_on_dicts(self, monkeypatch):
+        # a monomial operand's box has a slot for every term of the other
+        # operand, so the size rule sends the product to dicts; with 0 or 1
+        # variables the homogeneous box has no axis left
+        calls = count_dict_products(monkeypatch)
+        assert Polynomial.constant(0, 3) * Polynomial.constant(0, -2) == Polynomial.constant(0, -6)
+        x = Polynomial.variable(1, 1)
+        p = Polynomial(1, {(0,): 1, (2,): -4, (5,): 7})
+        assert x * x == Polynomial(1, {(2,): 1})
+        assert Polynomial(1, {(3,): 2}) * p == Polynomial(1, {(3,): 2, (5,): -8, (8,): 14})
+        q = Polynomial(3, {(2, 0, 0): 3, (0, 2, 1): -1, (0, 0, 4): 2})
+        m = Polynomial(3, {(1, 0, 2): -5})
+        assert q * m == m * q == naive_mul(q, m)
+        assert calls == [1] * 5
 
     def test_pow(self):
         x = Polynomial.variable(1, 2)
@@ -348,7 +374,6 @@ class TestPolynomialRing:
         with pytest.raises(ValueError):
             (x1 + x2).mul_monomial((-1, 0))
         assert Polynomial(2, {(1, 0): 0, (0, 1): 3}).terms == {(0, 1): 3}
-        assert (x1 + x2).mul_monomial((1, 1), 0).is_zero()
 
 
 class TestLaurentFraction:

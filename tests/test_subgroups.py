@@ -283,9 +283,11 @@ class TestDeductionQueue:
             )
             assert low_index_subgroups(presentation, max_index) == expected
         nodes = calls[0]
+        monkeypatch.setattr(subgroups, "NODE_BUDGET", nodes - 1)
         with pytest.raises(BudgetExceeded):
-            low_index_subgroups(presentation, max_index, node_budget=nodes - 1)
-        assert low_index_subgroups(presentation, max_index, node_budget=nodes) == expected
+            low_index_subgroups(presentation, max_index)
+        monkeypatch.setattr(subgroups, "NODE_BUDGET", nodes)
+        assert low_index_subgroups(presentation, max_index) == expected
 
     def test_proper_power_gives_one_normal_class_per_divisor(self):
         # <x1 | x1^6> is cyclic of order 6: one subgroup per divisor
@@ -325,11 +327,12 @@ class TestNormalOnly:
         assert normal == [r for r in full if r.is_normal]
         assert all(oracle_is_normal(r, presentation) for r in normal)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setattr(subgroups, "NODE_BUDGET", 5)
         with pytest.raises(
             BudgetExceeded, match="node budget of 5 definitions exhausted at max_index 4"
         ):
-            low_index_subgroups(FREE_2, 4, node_budget=5, normal_only=True)
+            low_index_subgroups(FREE_2, 4, normal_only=True)
 
 
 class TestUnknotPresentation:
@@ -381,11 +384,12 @@ class TestRecordInvariants:
 
 
 class TestGuards:
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setattr(subgroups, "NODE_BUDGET", 5)
         with pytest.raises(
             BudgetExceeded, match="node budget of 5 definitions exhausted at max_index 4"
         ):
-            low_index_subgroups(FREE_2, 4, node_budget=5)
+            low_index_subgroups(FREE_2, 4)
 
     def test_index_cap(self):
         with pytest.raises(ValueError):
