@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
 
 from .af import BratteliDiagram
 from .errors import BudgetExceeded, DirectionOutOfRange, TooSmall, UnsupportedSurface
@@ -158,17 +157,25 @@ def _mutate_seed_cached(seed: Seed, k: int, markov: bool) -> Seed:
         raise BudgetExceeded(f"exchange operand of {terms} terms exceeds the limit of {MAX_OPERAND_TERMS}")
     if markov:
         x_i, x_j = (x for i, x in enumerate(seed.variables, 1) if i != k)
-        exchanged = _MARKOV * x_i * x_j - x_k
+        exchanged = LaurentFraction.product(_MARKOV, x_i, x_j) - x_k
     else:
-        one = LaurentFraction.from_polynomial(Polynomial.constant(seed.rank, 1))
-        plus = prod((x**b for x, b in pairs if b > 0), start=one)
-        minus = prod((x**-b for x, b in pairs if b < 0), start=one)
+        plus, minus = (
+            _exchange_monomial(seed.rank, [x for x, b in pairs for _ in range(sign * b)]) for sign in (1, -1)
+        )
         exchanged = (plus + minus).divide_exact(x_k)
     variables = list(seed.variables)
     variables[k - 1] = exchanged
     mutated = Seed(tuple(variables), mutate_matrix(seed.matrix, k))
     object.__setattr__(mutated, "_markov", markov)
     return mutated
+
+
+def _exchange_monomial(rank: int, factors: list[LaurentFraction]) -> LaurentFraction:
+    """One side of the exchange relation: the product of ``factors`` (x_i
+    repeated |b_ik| times) taken at once, or 1 when there are none."""
+    if not factors:
+        return LaurentFraction.from_polynomial(Polynomial.constant(rank, 1))
+    return LaurentFraction.product(*factors)
 
 
 def laurent_check(seed: Seed, directions) -> bool:

@@ -9,27 +9,38 @@ Polynomials and Laurent fractions are immutable values: ``p ** 1`` and a
 zero-shift ``mul_monomial`` return ``p`` itself (a product, even ``p * 1``,
 is new), so ``.terms`` must never be mutated.
 
-Products are Kronecker substitutions: each operand becomes one big integer
-(one fixed-width little-endian slot per point of a mixed-radix exponent
-box) and the product is one integer multiplication, or one squaring when
-both operands are the same object.  The box spans the lattice of the
-operands' supports: for each variable the offset is the sum of the two
-least exponents and the step is the gcd of every exponent difference in
-either operand, so a slot index digit k stands for the exponent
-offset + step * k.  Cluster exchange relations square variables, so deep
-torus numerators have exponents of one parity and pack into about a
-quarter of the box from 0 to the greatest exponent.  The images are
-signed: each is the image of the positive coefficients minus that of the
-absolute values of the negative ones, and the product is unpacked in
-balanced slots, where every slot is read relative to half its range.  The
-slot width keeps a bound on every product coefficient below that half, so
-no borrow crosses a slot.  The total degree is one more lattice column;
-when its product extent is 1 the product is homogeneous, so the variable
-with the widest extent is dropped from the box and restored from the sum
-of the operands' greatest degrees.  A product with no more term pairs
-than box slots, or whose image would exceed ``_PACK_BYTE_LIMIT`` bytes,
-runs on dicts instead: every product by a monomial does, as its box has
-a slot for each term of the other operand.
+Products are Kronecker substitutions: each factor becomes one big
+integer (one fixed-width slot per point of a mixed-radix exponent box),
+and a product of any number of factors is one pass through a shared box:
+their images are multiplied and the result is unpacked once.  A factor
+object that repeats is packed once and its image raised to a power, so a
+square is one squaring.  A factor of at most ``_SHIFT_TERMS`` terms is
+not packed; each of its terms adds a shifted copy of the other images'
+product, so the Markov exchange K * x_i * x_j of the torus is one
+integer multiplication.  The box spans the lattice of the factors'
+supports: for each variable the offset is the sum of the least exponents
+and the step is the gcd of every exponent difference in any factor, so a
+slot index digit k stands for the exponent offset + step * k.  The last
+packed variable varies fastest in the slot index, so the slots come in
+the order of ``itertools.product`` over the axes.  Cluster exchange
+relations square variables, so deep torus numerators have exponents of
+one parity and pack into about a quarter of the box from 0 to the
+greatest exponent.  The images are signed and the product is unpacked in
+balanced slots, where every slot is read relative to half its range.
+The slot width keeps a bound on every product coefficient below that
+half, so no borrow crosses a slot: the l1 norms of all factors but one
+times the l-infinity norm of that one, the least such bound.  Widths are
+rounded up to 1, 2, 4 or 8 bytes, so that one ``memoryview.cast`` writes
+and reads all slots; wider slots are read one by one.  The total degree
+is one more lattice column; when its product extent is 1 the product is
+homogeneous, so the variable with the widest extent is dropped from the
+box and restored from the sum of the factors' greatest degrees.  A
+product with no more term tuples than box slots, or whose image would
+exceed ``_PACK_BYTE_LIMIT`` bytes, is not packed: two factors multiply on
+dicts, and more are folded in one at a time as products of two.  Every
+product of two with a monomial runs on dicts, as its box has a slot for
+each term of the other factor.  Each polynomial keeps its lattice once
+built, and a packed product gets its lattice from its factors'.
 
 Exact division, by any nonzero divisor, is classical sparse division in
 grlex order over signed coefficients: a dict of pending remainder terms,
@@ -46,16 +57,25 @@ exactly.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, product, repeat
 from math import gcd, prod
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .errors import NonLaurentResult
 
 _PACK_BYTE_LIMIT = 1 << 26
+# a factor of at most this many terms is applied as shifted copies (see
+# _mul_packed); the Markov numerator x1^2 + x2^2 + x3^2 has three
+_SHIFT_TERMS = 4
+# memoryview.cast formats of the slot widths that are read in one cast,
+# and the byte order that cast reads
+_CAST_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BYTEORDER = sys.byteorder
 
 
 class InexactDivision(ArithmeticError):
@@ -65,7 +85,7 @@ class InexactDivision(ArithmeticError):
 class Polynomial:
     """Multivariate polynomial with arbitrary-precision integer coefficients."""
 
-    __slots__ = ("nvars", "terms", "_key")
+    __slots__ = ("nvars", "terms", "_key", "_box")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         self.nvars = nvars
@@ -79,6 +99,7 @@ class Polynomial:
                 clean[tuple(exps)] = coeff
         self.terms = clean
         self._key = None
+        self._box = None
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
@@ -89,6 +110,7 @@ class Polynomial:
         poly.nvars = nvars
         poly.terms = terms
         poly._key = None
+        poly._box = None
         return poly
 
     # construction ----------------------------------------------------------
@@ -122,16 +144,10 @@ class Polynomial:
         """Componentwise minimum exponent over all terms (the monomial content)."""
         if not self.terms:
             return (0,) * self.nvars
-        return tuple(map(min, zip(*self.terms)))
+        return tuple(_lattice(self)[0][:-1])
 
     def has_positive_coefficients(self) -> bool:
         return all(c > 0 for c in self.terms.values())
-
-    def _sum_abs(self) -> int:
-        return sum(abs(c) for c in self.terms.values())
-
-    def _max_abs(self) -> int:
-        return max((abs(c) for c in self.terms.values()), default=0)
 
     def key(self) -> tuple:
         if self._key is None:
@@ -161,7 +177,9 @@ class Polynomial:
         return Polynomial._trusted(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        out = Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        out._box = self._box
+        return out
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -235,94 +253,152 @@ def _monomial_factors(exps: Sequence[int]) -> list[str]:
 
 
 def _lattice(poly: Polynomial) -> tuple[list[int], list[int], list[int]]:
-    """Per variable, and last for the total degree: the least value, the gcd
-    of the values' differences (0 when they are all equal) and the greatest.
-    Each column is built only when it is reached."""
-    lo, step, hi = [], [], []
-    for column in chain(zip(*poly.terms), map(tuple, [map(sum, poly.terms)])):
-        least = min(column)
-        lo.append(least)
-        step.append(gcd(*map(sub, column, repeat(least))))
-        hi.append(max(column))
-    return lo, step, hi
+    """Per variable, and last for the total degree, of a nonzero polynomial:
+    the least value, a step that divides every difference of values (0 when
+    they are all equal) and the greatest.  Built once per polynomial, as
+    the gcd of the differences, and kept on it; a packed product keeps the
+    one its factors give (see ``_mul_packed``)."""
+    if poly._box is None:
+        lo, step, hi = [], [], []
+        for column in chain(zip(*poly.terms), [map(sum, poly.terms)]):
+            values = set(column)
+            least = min(values)
+            lo.append(least)
+            step.append(gcd(*map(sub, values, repeat(least))))
+            hi.append(max(values))
+        poly._box = lo, step, hi
+    return poly._box
+
+
+def _indices(poly: Polynomial, lo, axes) -> list[int]:
+    """Per term, in the order of ``poly.terms``, the index of its exponent's
+    lattice point in the box: the sum of (e_i - lo_i) // step * stride over
+    the packed ``axes`` (i, step, stride).  Each axis reads its column
+    through a table over the column's distinct exponents."""
+    columns = list(zip(*poly.terms))
+    parts = []
+    for i, step, stride in axes:
+        column, least = columns[i], lo[i]
+        table = {e: (e - least) // step * stride for e in set(column)}
+        parts.append(map(table.__getitem__, column))
+    return list(map(sum, zip(*parts)))
 
 
 def _pack(poly: Polynomial, lo, axes, slot_bytes) -> int:
     """Signed Kronecker image: the sum of coeff * 256**(slot_bytes * idx)
-    over the terms, idx being the index of the exponent's lattice point in
-    the box, the sum of (e_i - lo_i) // step * stride over the packed
-    ``axes`` (i, step, stride).  Positive coefficients and the absolute
-    values of negative ones fill two byte buffers, and the image is the
-    difference of the two."""
-    size = 0
-    chunks: list[tuple[int, int]] = []
-    for exps, coeff in poly.terms.items():
-        idx = 0
-        for i, step, stride in axes:
-            idx += (exps[i] - lo[i]) // step * stride
-        chunks.append((idx, coeff))
-        if idx >= size:
-            size = idx + 1
-    pos = bytearray(size * slot_bytes)
-    neg = bytearray(size * slot_bytes)
-    for idx, coeff in chunks:
-        off = idx * slot_bytes
-        buf = pos if coeff > 0 else neg
-        buf[off : off + slot_bytes] = abs(coeff).to_bytes(slot_bytes, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    over the terms (see ``_indices``).  Every slot of a byte buffer starts
+    at half = 2**(8*slot_bytes - 1) and a term's slot holds half + coeff;
+    the image is the buffer minus the image of all halves.  Slots of 1, 2,
+    4 or 8 bytes are written through a ``memoryview.cast`` in native byte
+    order (see ``_unpack``), wider ones one by one, little-endian."""
+    idxs = _indices(poly, lo, axes)
+    half = 1 << (8 * slot_bytes - 1)
+    fmt = _CAST_FORMATS.get(slot_bytes)
+    order = _BYTEORDER if fmt else "little"
+    zero = half.to_bytes(slot_bytes, order)
+    size = max(idxs) + 1
+    buf = bytearray(zero * size)
+    if fmt:
+        with memoryview(buf) as raw, raw.cast(fmt) as view:
+            slots = view[::-1] if order == "big" else view
+            for idx, coeff in zip(idxs, poly.terms.values()):
+                slots[idx] = half + coeff
+    else:
+        for idx, coeff in zip(idxs, poly.terms.values()):
+            off = idx * slot_bytes
+            buf[off : off + slot_bytes] = (half + coeff).to_bytes(slot_bytes, order)
+    return int.from_bytes(buf, order) - int.from_bytes(zero * size, order)
 
 
 def _unpack(value: int, slot_bytes, axes, drop, degree) -> dict:
     """Inverse of _pack over the whole box.  Digit k of the slot index on a
-    packed axis (offset, step, extent) is the exponent offset + step * k;
-    ``degree`` restores the dropped exponent (or None).  Adds half =
-    2**(8*slot_bytes - 1) to every slot and reads each slot minus half; no
-    borrow crosses a slot because every |coefficient| < half."""
+    packed axis (offset, step, extent) is the exponent offset + step * k,
+    and the last axis varies fastest, so the slots run row by row along
+    it; ``degree`` restores the dropped exponent (or None), which falls by
+    the last axis's step along a row.  Adds half = 2**(8*slot_bytes - 1)
+    to every slot and reads each slot minus half; no borrow crosses a slot
+    because every |coefficient| < half.
+
+    Slots of 1, 2, 4 or 8 bytes are read with one ``memoryview.cast``,
+    which reads native byte order: the value is written in
+    ``sys.byteorder``, and on a big-endian host, where the highest slot
+    then comes first, the cast view is read in reverse.  Wider slots are
+    read one by one, little-endian."""
     half = 1 << (8 * slot_bytes - 1)
-    zero = half.to_bytes(slot_bytes, "little")
+    fmt = _CAST_FORMATS.get(slot_bytes)
+    order = _BYTEORDER if fmt else "little"
     nslots = prod(extent for _, _, extent in axes)
-    value += int.from_bytes(zero * nslots, "little")
-    data = value.to_bytes(nslots * slot_bytes, "little")
-    # the first axis varies fastest in the slot index, the last in product()
-    points = product(*[range(o, o + s * x, s) for o, s, x in reversed(axes)])
-    starts = range(0, nslots * slot_bytes, slot_bytes)
-    out: dict[tuple[int, ...], int] = {}
-    for point, start in zip(points, starts):
-        chunk = data[start : start + slot_bytes]
-        if chunk == zero:
-            continue
-        exps = point[::-1]
+    value += int.from_bytes(half.to_bytes(slot_bytes, order) * nslots, order)
+    data = value.to_bytes(nslots * slot_bytes, order)
+    if fmt:
+        with memoryview(data) as raw, raw.cast(fmt) as view:
+            slots = (view[::-1] if order == "big" else view).tolist()
+    else:
+        slots = [int.from_bytes(data[s : s + slot_bytes], order) for s in range(0, len(data), slot_bytes)]
+    *outer, (first, step, extent) = axes
+    last = range(first, first + step * extent, step)
+    rows = []
+    for prefix in product(*[range(o, o + s * x, s) for o, s, x in outer]):
+        columns = [*map(repeat, prefix), last]
         if drop is not None:
-            exps = exps[:drop] + (degree - sum(exps),) + exps[drop:]
-        out[exps] = int.from_bytes(chunk, "little") - half
-    return out
+            top = degree - sum(prefix) - first
+            columns.insert(drop, range(top, top - step * extent, -step))
+        rows.append(zip(*columns))
+    return {p: v - half for p, v in zip(chain.from_iterable(rows), slots) if v != half}
 
 
-def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Product in the lattice both supports span: per variable, offset the
-    sum of the least exponents and step the gcd of every exponent
-    difference in either operand.  A square (``b is a``) packs once."""
-    alo, astep, ahi = _lattice(a)
-    blo, bstep, bhi = (alo, astep, ahi) if b is a else _lattice(b)
-    steps = [gcd(s, t) or 1 for s, t in zip(astep, bstep)]
-    *extents, degree_extent = [(x - l + y - m) // s + 1 for x, l, y, m, s in zip(ahi, alo, bhi, blo, steps)]
-    drop = max(range(a.nvars), key=extents.__getitem__, default=None) if degree_extent == 1 else None
+def _norms(poly: Polynomial) -> tuple[int, int]:
+    """The l1 and l-infinity norms of the coefficients."""
+    sizes = list(map(abs, poly.terms.values()))
+    return sum(sizes), max(sizes)
+
+
+def _mul_packed(*factors: Polynomial) -> Polynomial:
+    """Product of two or more nonzero factors in the lattice their supports
+    span (see the module docstring).  The packed images are multiplied in
+    order of term count, fewest first; then each term of a factor of at
+    most ``_SHIFT_TERMS`` terms (but the one with the most terms) adds a
+    shifted copy of that product, which costs time linear in its size."""
+    distinct = sorted({id(f): f for f in factors}.values(), key=lambda f: len(f.terms))
+    powers = [sum(f is g for g in factors) for f in distinct]
+    lattices = [_lattice(f) for f in distinct]
+    lo = [sum(map(mul, powers, column)) for column in zip(*(l for l, _, _ in lattices))]
+    hi = [sum(map(mul, powers, column)) for column in zip(*(h for _, _, h in lattices))]
+    gcds = [gcd(*column) for column in zip(*(s for _, s, _ in lattices))]
+    steps = [s or 1 for s in gcds]
+    *extents, degree_extent = [(h - l) // s + 1 for h, l, s in zip(hi, lo, steps)]
+    nvars = len(extents)
+    drop = max(range(nvars), key=extents.__getitem__, default=None) if degree_extent == 1 else None
+    # the last packed axis varies fastest
     axes = []
     slots = 1
-    for i, (step, extent) in enumerate(zip(steps, extents)):
+    for i in reversed(range(nvars)):
         if i != drop:
-            axes.append((i, step, slots))
-            slots *= extent
-    bound = min(a._sum_abs() * b._max_abs(), a._max_abs() * b._sum_abs())
-    slot_bytes = (bound.bit_length() + 8) // 8
-    # no more term pairs than slots: the dict product is cheaper
-    if len(a.terms) * len(b.terms) <= slots or slots * slot_bytes > _PACK_BYTE_LIMIT:
-        return _mul_dict(a, b)
-    image = _pack(a, alo, axes, slot_bytes)
-    packed = image * image if b is a else image * _pack(b, blo, axes, slot_bytes)
-    degree = ahi[-1] + bhi[-1] if drop is not None else None
-    spans = [(alo[i] + blo[i], step, extents[i]) for i, step, _ in axes]
-    return Polynomial._trusted(a.nvars, _unpack(packed, slot_bytes, spans, drop, degree))
+            axes.append((i, steps[i], slots))
+            slots *= extents[i]
+    axes.reverse()
+    norms = [_norms(f) for f in distinct]
+    total = prod(l1**k for (l1, _), k in zip(norms, powers))
+    bound = min(total // l1 * top for l1, top in norms)
+    width = (bound.bit_length() + 8) // 8
+    slot_bytes = next((w for w in _CAST_FORMATS if w >= width), width)
+    # no more term tuples than slots: products on dicts are cheaper
+    if prod(len(f.terms) ** k for f, k in zip(distinct, powers)) <= slots or slots * slot_bytes > _PACK_BYTE_LIMIT:
+        return reduce(_mul_packed, factors) if len(factors) > 2 else _mul_dict(*factors)
+    groups = [(f, flo, k) for f, (flo, _, _), k in zip(distinct, lattices, powers)]
+    few = min(sum(len(f.terms) <= _SHIFT_TERMS for f in distinct), len(distinct) - 1)
+    packed = reduce(mul, [_pack(f, flo, axes, slot_bytes) ** k for f, flo, k in groups[few:]])
+    for f, flo, k in groups[:few]:
+        shifts = [(8 * slot_bytes * idx, c) for idx, c in zip(_indices(f, flo, axes), f.terms.values())]
+        for _ in range(k):
+            packed = sum(c * (packed << bits) for bits, c in shifts)
+    degree = hi[-1] if drop is not None else None
+    spans = [(lo[i], step, extents[i]) for i, step, _ in axes]
+    out = Polynomial._trusted(nvars, _unpack(packed, slot_bytes, spans, drop, degree))
+    # least and greatest values add up over the factors (the extreme terms
+    # cannot cancel), and the gcd of the factors' steps divides every difference
+    out._box = lo, gcds, hi
+    return out
 
 
 def _mul_dict(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -393,6 +469,15 @@ def _div_sparse(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial._trusted(n, quotient)
 
 
+def _shift(poly: Polynomial, shift: Sequence[int]) -> Polynomial:
+    """``poly`` times the monomial x**shift, unchecked: only for shifts that
+    keep every exponent >= 0, as the reductions and alignments of Laurent
+    fractions do.  ``mul_monomial`` is the checked public form."""
+    if not any(shift):
+        return poly
+    return Polynomial._trusted(poly.nvars, {tuple(map(add, exps, shift)): c for exps, c in poly.terms.items()})
+
+
 # Laurent fractions -----------------------------------------------------------
 
 
@@ -411,7 +496,7 @@ class LaurentFraction:
             return
         content = numerator.content_exponents()
         cancel = tuple(min(c, d) for c, d in zip(content, den))
-        self.numerator = numerator.mul_monomial(tuple(-c for c in cancel))
+        self.numerator = _shift(numerator, tuple(-c for c in cancel))
         self.denominator = tuple(d - c for d, c in zip(den, cancel))
 
     @classmethod
@@ -425,16 +510,29 @@ class LaurentFraction:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
+    @staticmethod
+    def product(*factors: "LaurentFraction") -> "LaurentFraction":
+        """The product of one or more fractions.  The numerators are
+        multiplied at once, in one packed image where the size rule allows
+        (see ``_mul_packed``), and a factor object that repeats packs once."""
+        first, *rest = factors
+        if not rest:
+            return first
+        numerators = [f.numerator for f in factors]
+        for num in numerators[1:]:
+            first.numerator._check(num)
+        den = tuple(map(sum, zip(*(f.denominator for f in factors))))
+        if any(num.is_zero() for num in numerators):
+            return LaurentFraction(Polynomial.zero(first.numerator.nvars), den)
+        return LaurentFraction(_mul_packed(*numerators), den)
+
     def __mul__(self, other: "LaurentFraction") -> "LaurentFraction":
-        return LaurentFraction(
-            self.numerator * other.numerator,
-            tuple(a + b for a, b in zip(self.denominator, other.denominator)),
-        )
+        return LaurentFraction.product(self, other)
 
     def __add__(self, other: "LaurentFraction") -> "LaurentFraction":
         den = tuple(max(a, b) for a, b in zip(self.denominator, other.denominator))
-        left = self.numerator.mul_monomial(tuple(d - a for d, a in zip(den, self.denominator)))
-        right = other.numerator.mul_monomial(tuple(d - b for d, b in zip(den, other.denominator)))
+        left = _shift(self.numerator, tuple(d - a for d, a in zip(den, self.denominator)))
+        right = _shift(other.numerator, tuple(d - b for d, b in zip(den, other.denominator)))
         return LaurentFraction(left + right, den)
 
     def __neg__(self) -> "LaurentFraction":
@@ -454,7 +552,7 @@ class LaurentFraction:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero fraction")
         content = other.numerator.content_exponents()
-        stripped = other.numerator.mul_monomial(tuple(-c for c in content))
+        stripped = _shift(other.numerator, tuple(-c for c in content))
         try:
             quotient = self.numerator.exact_div(stripped)
         except InexactDivision as exc:
@@ -467,7 +565,7 @@ class LaurentFraction:
         ]
         lift = tuple(max(-e, 0) for e in net)
         den = tuple(max(e, 0) for e in net)
-        return LaurentFraction(quotient.mul_monomial(lift), den)
+        return LaurentFraction(_shift(quotient, lift), den)
 
     def __eq__(self, other) -> bool:
         return (

@@ -7,7 +7,9 @@ homogeneous fast path.  Division is checked by re-multiplying every
 quotient, and every refusal against sympy's division over the rationals.
 """
 
+import functools
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,8 +19,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knotfield import laurent
-from knotfield.cluster import SurfaceSpec, mutate_seed, surface_seed
+from knotfield import cluster, laurent
+from knotfield.cluster import Seed, SurfaceSpec, mutate_seed, surface_seed
 from knotfield.errors import NonLaurentResult
 from knotfield.laurent import InexactDivision, LaurentFraction, Polynomial
 
@@ -47,8 +49,8 @@ def divides_over_integers(f: Polynomial, g: Polynomial) -> bool:
 
 
 # +-(2^k - 1), +-2^k and +-(2^k + 1) for k = 8w - 1 and 8w: around the sign
-# bit and the top of w-byte packed slots (w = 1, 2, 8)
-EDGE_COEFFS = [s * (2**k + d) for k in (7, 8, 15, 16, 63, 64) for d in (-1, 0, 1) for s in (1, -1)]
+# bit and the top of w-byte packed slots (w = 1, 2, 4, 8, 9)
+EDGE_COEFFS = [s * (2**k + d) for k in (7, 8, 15, 16, 31, 32, 63, 64, 71, 72) for d in (-1, 0, 1) for s in (1, -1)]
 
 
 @st.composite
@@ -111,6 +113,36 @@ def lattice_pairs(draw):
         draw(lattice_polynomials(n, step, homogeneous)),
         draw(lattice_polynomials(n, other, homogeneous)),
     )
+
+
+def edge_cube(width):
+    """Three times the same object x1 - c*x2, c the largest integer whose
+    bound c * (1 + c)^2 on the cube's coefficients is below 2^(8*width - 1):
+    the cube packs in slots of ``width`` bytes, and its coefficient -c^3
+    reaches near the bottom of them."""
+    c = next(c for c in itertools.count(1) if (c + 1) * (c + 2) ** 2 >= 2 ** (8 * width - 1))
+    factor = LaurentFraction.from_polynomial(Polynomial(2, {(1, 0): 1, (0, 1): -c}))
+    return [factor] * 3
+
+
+@st.composite
+def fraction_factors(draw):
+    """One to four Laurent fractions over a pool of distinct objects, so that
+    an object may repeat.  Numerators are lattice polynomials, homogeneous
+    or not, or sparse polynomials with edge coefficients."""
+    n = draw(st.integers(1, 3))
+    homogeneous = n > 1 and draw(st.booleans())
+    step = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    if homogeneous:
+        step = [step[0]] * n
+        numerators = lattice_polynomials(n, step, True)
+    else:
+        numerators = lattice_polynomials(n, step, False) | polynomials(nvars=n, max_terms=4, max_exp=3)
+    dens = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    pool = [
+        LaurentFraction(draw(numerators), draw(dens)) for _ in range(draw(st.integers(1, 3)))
+    ]
+    return [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 4)))]
 
 
 def random_sparse(rng):
@@ -271,6 +303,19 @@ class TestPolynomialRing:
             product = left * right
             assert product == naive_mul(left, right)
             assert product.evaluate(point) == left.evaluate(point) * right.evaluate(point)
+
+    def test_big_endian_slot_order(self, monkeypatch):
+        # with 1-byte slots, byte order within a slot does not matter, so a
+        # big-endian host's reversed slot order can be checked here
+        # (6 * 6 term pairs in a 5 * 5 box, coefficients bounded by 18)
+        x1, x2, one = Polynomial.variable(1, 2), Polynomial.variable(2, 2), Polynomial.constant(2, 1)
+        a, b = (x1 - x2 + one) ** 2, (x1 + x2 - one) ** 2
+        widths = []
+        unpack = laurent._unpack
+        monkeypatch.setattr(laurent, "_unpack", lambda *args: widths.append(args[1]) or unpack(*args))
+        monkeypatch.setattr(laurent, "_BYTEORDER", "big")
+        assert a * b == naive_mul(a, b)
+        assert widths == [1]
 
     def test_homogeneous_path(self, monkeypatch):
         # both operands homogeneous of degree 30: x3, the widest variable, is
@@ -439,6 +484,53 @@ class TestLaurentFraction:
         assert LaurentFraction.unit_variable(2, 3).render() == "x2"
         multi = LaurentFraction(Polynomial.constant(2, 2), (2, 1))
         assert multi.render() == "2/(x1^2*x2)"
+
+    @settings(max_examples=300, deadline=None)
+    @given(fraction_factors(), st.data())
+    @example(factors=edge_cube(1), data=None)
+    @example(factors=edge_cube(2), data=None)
+    @example(factors=edge_cube(4), data=None)
+    @example(factors=edge_cube(8), data=None)
+    @example(factors=edge_cube(9), data=None)
+    def test_product_of_factors(self, factors, data):
+        # against a fold of the dict convolution and Fraction evaluation
+        n = factors[0].numerator.nvars
+        product = LaurentFraction.product(*factors)
+        numerator = functools.reduce(naive_mul, (f.numerator for f in factors))
+        den = tuple(map(sum, zip(*(f.denominator for f in factors))))
+        assert product == LaurentFraction(numerator, den)
+        if data is None:
+            point = [Fraction(i + 2, 3) for i in range(n)]
+        else:
+            point = [Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))) for _ in range(n)]
+        assert product.evaluate(point) == math.prod(f.evaluate(point) for f in factors)
+
+    def test_repeated_factor_packs_once(self, monkeypatch):
+        # (a, a, b): a's image is packed once and squared
+        x1, x2, x3 = (Polynomial.variable(i, 3) for i in (1, 2, 3))
+        a = LaurentFraction((x1 + x2 - x3) ** 4, (1, 0, 0))
+        b = LaurentFraction((x1 - x2 + x3 + x1 * x2) ** 3, (0, 2, 1))
+        packed = []
+        pack = laurent._pack
+        monkeypatch.setattr(laurent, "_pack", lambda poly, *args: packed.append(poly) or pack(poly, *args))
+        product = LaurentFraction.product(a, a, b)
+        assert [len(p.terms) for p in packed] == [len(a.numerator.terms), len(b.numerator.terms)]
+        assert product == LaurentFraction(naive_mul(naive_mul(a.numerator, a.numerator), b.numerator), (2, 2, 1))
+
+    def test_markov_exchange_unpacks_once(self, monkeypatch):
+        # K * x_i * x_j is one packed product: K, of three terms, is applied
+        # as shifted copies, x_i and x_j are packed, and the box is read once
+        seed = surface_seed(SurfaceSpec(1, 1))
+        for k in (1, 2, 3, 1, 2, 3):
+            seed = mutate_seed(seed, k)
+        packed, unpacked = [], []
+        pack, unpack = laurent._pack, laurent._unpack
+        monkeypatch.setattr(laurent, "_pack", lambda *args: packed.append(1) or pack(*args))
+        monkeypatch.setattr(laurent, "_unpack", lambda *args: unpacked.append(1) or unpack(*args))
+        mutated = cluster._mutate_seed_cached.__wrapped__(seed, 1, True)  # past the memo
+        assert unpacked == [1] and packed == [1, 1]
+        divided = mutate_seed(Seed(seed.variables, seed.matrix), 1)
+        assert mutated.variables == divided.variables
 
     def test_power(self):
         x1 = LaurentFraction.unit_variable(1, 2)
