@@ -206,6 +206,8 @@ def _cmd_cluster(args) -> str:
             return json.dumps({"B": rows, "vars": [v.render() for v in current.variables]})
         return _seed_text(current)
     if args.action == "tree":
+        if args.depth < 0:
+            raise ValueError(f"--depth must be nonnegative, got {args.depth}")
         diagram = cluster.mutation_tree(seed, args.depth, args.prune_backtrack)
         if args.dot:
             return af.emit_dot(diagram)
@@ -215,6 +217,8 @@ def _cmd_cluster(args) -> str:
         }
         return json.dumps(payload) if args.json else " ".join(str(s) for s in diagram.level_sizes)
     if args.action == "enumerate":
+        if args.max < 1:
+            raise ValueError(f"--max must be at least 1, got {args.max}")
         count, finite = cluster.enumerate_seeds(seed, args.max)
         payload = {"seeds": count, "finite": finite}
         return json.dumps(payload) if args.json else f"seeds {count} finite {str(finite).lower()}"
@@ -240,6 +244,8 @@ def _seed_text(seed: cluster.Seed) -> str:
 def _cmd_af(args) -> str:
     matrix = _parse_matrix(args.matrix)
     if args.action == "bratteli":
+        if args.levels < 1:
+            raise ValueError(f"--levels must be at least 1, got {args.levels}")
         diagram = af.stationary_diagram(matrix, args.levels)
         if args.dot:
             return af.emit_dot(diagram)

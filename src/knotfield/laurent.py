@@ -5,9 +5,11 @@ coefficients.  A Laurent fraction is a polynomial numerator over a monomial
 denominator, kept in reduced form: no variable with positive denominator
 exponent divides the numerator.
 
-Polynomials and Laurent fractions are immutable values: ``p ** 1`` and a
-zero-shift ``mul_monomial`` return ``p`` itself (a product, even ``p * 1``,
-is new), so ``.terms`` must never be mutated.
+Polynomials and Laurent fractions are immutable values: ``p ** 1`` returns
+``p`` itself (a product, even ``p * 1``, is new), so ``.terms`` must never
+be mutated.  A polynomial's identity is its dict of terms: equality is
+dict equality, and the hash, of the terms as a frozenset, is computed
+once and kept.
 
 Products are Kronecker substitutions: each factor becomes one big
 integer (one fixed-width slot per point of a mixed-radix exponent box),
@@ -29,18 +31,20 @@ greatest exponent.  The images are signed and the product is unpacked in
 balanced slots, where every slot is read relative to half its range.
 The slot width keeps a bound on every product coefficient below that
 half, so no borrow crosses a slot: the l1 norms of all factors but one
-times the l-infinity norm of that one, the least such bound.  Widths are
-rounded up to 1, 2, 4 or 8 bytes, so that one ``memoryview.cast`` writes
-and reads all slots; wider slots are read one by one.  The total degree
-is one more lattice column; when its product extent is 1 the product is
-homogeneous, so the variable with the widest extent is dropped from the
-box and restored from the sum of the factors' greatest degrees.  A
-product with no more term tuples than box slots, or whose image would
-exceed ``_PACK_BYTE_LIMIT`` bytes, is not packed: two factors multiply on
-dicts, and more are folded in one at a time as products of two.  Every
-product of two with a monomial runs on dicts, as its box has a slot for
-each term of the other factor.  Each polynomial keeps its lattice once
-built, and a packed product gets its lattice from its factors'.
+times the l-infinity norm of that one, the least such bound.  Images
+are little-endian.  On a little-endian host widths are rounded up to 1,
+2, 4 or 8 bytes, so that one ``memoryview.cast`` writes and reads all
+slots; wider slots, and every slot on another host, are read one by
+one.  The total degree is one more lattice column; when its product
+extent is 1 the product is homogeneous, so the variable with the widest
+extent is dropped from the box and restored from the sum of the
+factors' greatest degrees.  A product with no more term tuples than box
+slots, or whose image would exceed ``_PACK_BYTE_LIMIT`` bytes, is not
+packed: two factors multiply on dicts, and more are folded in one at a
+time as products of two.  Every product of two with a monomial runs on
+dicts, as its box has a slot for each term of the other factor.  Each
+polynomial keeps its lattice once built, and a packed product gets its
+lattice from its factors'.
 
 Exact division, by any nonzero divisor, is classical sparse division in
 grlex order over signed coefficients: a dict of pending remainder terms,
@@ -72,10 +76,9 @@ _PACK_BYTE_LIMIT = 1 << 26
 # a factor of at most this many terms is applied as shifted copies (see
 # _mul_packed); the Markov numerator x1^2 + x2^2 + x3^2 has three
 _SHIFT_TERMS = 4
-# memoryview.cast formats of the slot widths that are read in one cast,
-# and the byte order that cast reads
-_CAST_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-_BYTEORDER = sys.byteorder
+# memoryview.cast formats of the slot widths that are read in one cast;
+# the cast reads native byte order, so only a little-endian host has any
+_CAST_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
 class InexactDivision(ArithmeticError):
@@ -85,7 +88,7 @@ class InexactDivision(ArithmeticError):
 class Polynomial:
     """Multivariate polynomial with arbitrary-precision integer coefficients."""
 
-    __slots__ = ("nvars", "terms", "_key", "_box")
+    __slots__ = ("nvars", "terms", "_hash", "_box")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         self.nvars = nvars
@@ -98,7 +101,7 @@ class Polynomial:
                     raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
                 clean[tuple(exps)] = coeff
         self.terms = clean
-        self._key = None
+        self._hash = None
         self._box = None
 
     @classmethod
@@ -109,7 +112,7 @@ class Polynomial:
         poly = cls.__new__(cls)
         poly.nvars = nvars
         poly.terms = terms
-        poly._key = None
+        poly._hash = None
         poly._box = None
         return poly
 
@@ -146,19 +149,13 @@ class Polynomial:
             return (0,) * self.nvars
         return tuple(_lattice(self)[0][:-1])
 
-    def has_positive_coefficients(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
-
-    def key(self) -> tuple:
-        if self._key is None:
-            self._key = tuple(sorted(self.terms.items()))
-        return self._key
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.key()))
+        if self._hash is None:
+            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
@@ -183,15 +180,6 @@ class Polynomial:
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
-
-    def mul_monomial(self, exps: Sequence[int]) -> "Polynomial":
-        shift = tuple(exps)
-        if not any(shift):
-            return self
-        return Polynomial(
-            self.nvars,
-            {tuple(e + s for e, s in zip(t, shift)): c for t, c in self.terms.items()},
-        )
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -288,26 +276,25 @@ def _pack(poly: Polynomial, lo, axes, slot_bytes) -> int:
     """Signed Kronecker image: the sum of coeff * 256**(slot_bytes * idx)
     over the terms (see ``_indices``).  Every slot of a byte buffer starts
     at half = 2**(8*slot_bytes - 1) and a term's slot holds half + coeff;
-    the image is the buffer minus the image of all halves.  Slots of 1, 2,
-    4 or 8 bytes are written through a ``memoryview.cast`` in native byte
-    order (see ``_unpack``), wider ones one by one, little-endian."""
+    the image is the buffer minus the image of all halves, read
+    little-endian.  Slots of a width in ``_CAST_FORMATS`` (1, 2, 4 or 8
+    bytes on a little-endian host) are written through one
+    ``memoryview.cast``, others one by one."""
     idxs = _indices(poly, lo, axes)
     half = 1 << (8 * slot_bytes - 1)
     fmt = _CAST_FORMATS.get(slot_bytes)
-    order = _BYTEORDER if fmt else "little"
-    zero = half.to_bytes(slot_bytes, order)
+    zero = half.to_bytes(slot_bytes, "little")
     size = max(idxs) + 1
     buf = bytearray(zero * size)
     if fmt:
         with memoryview(buf) as raw, raw.cast(fmt) as view:
-            slots = view[::-1] if order == "big" else view
             for idx, coeff in zip(idxs, poly.terms.values()):
-                slots[idx] = half + coeff
+                view[idx] = half + coeff
     else:
         for idx, coeff in zip(idxs, poly.terms.values()):
             off = idx * slot_bytes
-            buf[off : off + slot_bytes] = (half + coeff).to_bytes(slot_bytes, order)
-    return int.from_bytes(buf, order) - int.from_bytes(zero * size, order)
+            buf[off : off + slot_bytes] = (half + coeff).to_bytes(slot_bytes, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(zero * size, "little")
 
 
 def _unpack(value: int, slot_bytes, axes, drop, degree) -> dict:
@@ -317,24 +304,20 @@ def _unpack(value: int, slot_bytes, axes, drop, degree) -> dict:
     it; ``degree`` restores the dropped exponent (or None), which falls by
     the last axis's step along a row.  Adds half = 2**(8*slot_bytes - 1)
     to every slot and reads each slot minus half; no borrow crosses a slot
-    because every |coefficient| < half.
-
-    Slots of 1, 2, 4 or 8 bytes are read with one ``memoryview.cast``,
-    which reads native byte order: the value is written in
-    ``sys.byteorder``, and on a big-endian host, where the highest slot
-    then comes first, the cast view is read in reverse.  Wider slots are
-    read one by one, little-endian."""
+    because every |coefficient| < half.  The value is written
+    little-endian; slots of a width in ``_CAST_FORMATS`` (1, 2, 4 or 8
+    bytes on a little-endian host) are read with one ``memoryview.cast``,
+    others one by one."""
     half = 1 << (8 * slot_bytes - 1)
     fmt = _CAST_FORMATS.get(slot_bytes)
-    order = _BYTEORDER if fmt else "little"
     nslots = prod(extent for _, _, extent in axes)
-    value += int.from_bytes(half.to_bytes(slot_bytes, order) * nslots, order)
-    data = value.to_bytes(nslots * slot_bytes, order)
+    value += int.from_bytes(half.to_bytes(slot_bytes, "little") * nslots, "little")
+    data = value.to_bytes(nslots * slot_bytes, "little")
     if fmt:
         with memoryview(data) as raw, raw.cast(fmt) as view:
-            slots = (view[::-1] if order == "big" else view).tolist()
+            slots = view.tolist()
     else:
-        slots = [int.from_bytes(data[s : s + slot_bytes], order) for s in range(0, len(data), slot_bytes)]
+        slots = [int.from_bytes(data[s : s + slot_bytes], "little") for s in range(0, len(data), slot_bytes)]
     *outer, (first, step, extent) = axes
     last = range(first, first + step * extent, step)
     rows = []
@@ -472,7 +455,7 @@ def _div_sparse(f: Polynomial, g: Polynomial) -> Polynomial:
 def _shift(poly: Polynomial, shift: Sequence[int]) -> Polynomial:
     """``poly`` times the monomial x**shift, unchecked: only for shifts that
     keep every exponent >= 0, as the reductions and alignments of Laurent
-    fractions do.  ``mul_monomial`` is the checked public form."""
+    fractions do."""
     if not any(shift):
         return poly
     return Polynomial._trusted(poly.nvars, {tuple(map(add, exps, shift)): c for exps, c in poly.terms.items()})

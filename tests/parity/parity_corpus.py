@@ -104,6 +104,7 @@ def argv_corpus() -> list[list[str]]:
     corpus += _formats(["cluster", "mutate", "--dirs", "1", "--surface", "-1", "3"])
     corpus += _formats(["cluster", "mutate", "--dirs", "1,x"])
     corpus += _formats(["cluster", "enumerate", "--max", "0"])
+    corpus += _formats(["cluster", "tree", "--depth", "-1"], "--dot")
     corpus += _formats(["cluster", "laurent-check", "--trials", "-1"])
     corpus += _formats(["cluster", "laurent-check", "--depth", "0"])
 

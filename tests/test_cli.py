@@ -236,3 +236,17 @@ class TestUsageErrors:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == f"usage error: --max-index must be between 1 and 10, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cluster", "enumerate", "--max", "0"], "--max must be at least 1, got 0"),
+            (["cluster", "tree", "--depth", "-1"], "--depth must be nonnegative, got -1"),
+            (["af", "bratteli", "--matrix", "2,1;1,1", "--levels", "0"], "--levels must be at least 1, got 0"),
+        ],
+    )
+    def test_range_errors_name_the_flag(self, argv, message):
+        result = run(argv)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"usage error: {message}\n"

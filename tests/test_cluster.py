@@ -97,7 +97,7 @@ def random_skew(rng, size, bound=3):
 def _laurent_form(seed):
     """Seed up to relabelling: cluster variables in sorted order, and the
     matrix permuted by the same order (a seed never repeats a variable)."""
-    keys = [(v.denominator, v.numerator.key()) for v in seed.variables]
+    keys = [(v.denominator, tuple(sorted(v.numerator.terms.items()))) for v in seed.variables]
     assert len(set(keys)) == len(keys)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rows = seed.matrix.rows
@@ -250,7 +250,7 @@ class TestSeedMutation:
             seed = surface_seed(SurfaceSpec(1, 1))
             for _ in range(8):
                 seed = mutate_seed(seed, rng.randint(1, 3))
-                assert all(v.numerator.has_positive_coefficients() for v in seed.variables)
+                assert all(c > 0 for v in seed.variables for c in v.numerator.terms.values())
 
     def test_mutation_is_memoized(self):
         # the benchmark reads cache_info() of this memo
@@ -258,6 +258,13 @@ class TestSeedMutation:
         first = mutate_seed(seed, 2)
         hits = _mutate_seed_cached.cache_info().hits
         assert mutate_seed(seed, 2) is first
+        assert _mutate_seed_cached.cache_info().hits == hits + 1
+        # mutating back builds x2 anew: the memo finds the equal seed by
+        # its hash, not by identity
+        back = mutate_seed(first, 2)
+        assert back == seed and back is not seed
+        hits = _mutate_seed_cached.cache_info().hits
+        assert mutate_seed(back, 2) is first
         assert _mutate_seed_cached.cache_info().hits == hits + 1
 
     def test_direction_validation(self):
