@@ -22,6 +22,7 @@ from .af import (
 from .artin import (
     GroupPresentation,
     abelianization,
+    arc_presentation,
     artin_generator,
     artin_rep,
     link_group_presentation,
@@ -91,6 +92,7 @@ __all__ = [
     "artin_rep",
     "GroupPresentation",
     "link_group_presentation",
+    "arc_presentation",
     "abelianization",
     "SubgroupRecord",
     "low_index_subgroups",

@@ -9,17 +9,39 @@ reproducible down to the syllable.
 
 The fundamental group of the closure of a braid b on n strands is presented
 by generators x_1..x_n and relators x_i^-1 * (image of x_i under the action
-of b), with trivial relators dropped.
+of b), with trivial relators dropped.  Their length can grow exponentially
+with the braid, so they are built one letter of the freely reduced braid at
+a time (free reduction keeps the automorphism) and refused with
+``BudgetExceeded`` once the relators of a prefix hold more than
+``MAX_RELATOR_LETTERS`` letters in total (read at each call).
+
+The arc (Wirtinger) presentation of the same group grows linearly.  Its
+generators are x_1..x_n, then one arc per crossing; the braid letters are read
+last to first, matching ``FreeAutomorphism.then``, keeping the arc at each
+strand position, with p at position i and q at position i + 1:
+
+* s_i: a new arc a = p q p^-1 goes to position i, and p moves to i + 1;
+* s_i^-1: q moves to position i, and a new arc a = q^-1 p q goes to i + 1.
+
+Each crossing gives the relator a^-1 p q p^-1 or a^-1 q^-1 p q.  The closure
+identifies the final arc at position k with x_k, or adds x_k^-1 x_j when x_j
+sits there; relators are cyclically reduced, and those that vanish are
+dropped.  Every arc is a conjugate of earlier ones, so the subgroup search
+branches on the x columns alone (``branch_generators``) and fills the arc
+columns by deduction.  Subgroup searches on a braid closure run on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord
-from .errors import IndexOutOfRange
+from .braid import BraidWord, free_reduce
+from .errors import BudgetExceeded, IndexOutOfRange
 from .freegroup import FreeAutomorphism, FreeWord
 from .smith import smith_invariants
+
+
+MAX_RELATOR_LETTERS = 100_000
 
 
 def artin_generator(index: int, sign: int, strands: int) -> FreeAutomorphism:
@@ -41,26 +63,46 @@ def artin_generator(index: int, sign: int, strands: int) -> FreeAutomorphism:
     return FreeAutomorphism(n, tuple(images))
 
 
-def artin_rep(word: BraidWord) -> FreeAutomorphism:
-    """Image of a braid word under the Artin representation."""
+def _artin_prefixes(word: BraidWord):
+    """Images of the prefixes of ``word``, the empty prefix first."""
     auto = FreeAutomorphism.identity(word.strands)
+    yield auto
     for k in word.letters:
         auto = auto.then(artin_generator(abs(k), 1 if k > 0 else -1, word.strands))
+        yield auto
+
+
+def artin_rep(word: BraidWord) -> FreeAutomorphism:
+    """Image of a braid word under the Artin representation."""
+    for auto in _artin_prefixes(word):
+        pass
     return auto
 
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """A finite presentation: generator count plus freely reduced relators."""
+    """A finite presentation: generator count plus freely reduced relators.
+
+    A subgroup search branches only on the first ``branch_generators``
+    generators (all of them by default); the relators must then determine
+    the action of every later generator from theirs, as in the arc
+    presentation."""
 
     generator_count: int
     relators: tuple[FreeWord, ...]
+    branch_generators: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "relators", tuple(self.relators))
         for r in self.relators:
             if r.rank != self.generator_count:
                 raise ValueError("relator rank does not match generator count")
+        if self.branch_generators is None:
+            object.__setattr__(self, "branch_generators", self.generator_count)
+        elif not 1 <= self.branch_generators <= self.generator_count:
+            raise ValueError(
+                f"branch_generators {self.branch_generators} outside 1..{self.generator_count}"
+            )
 
     def __str__(self) -> str:
         gens = ", ".join(f"x{i}" for i in range(1, self.generator_count + 1))
@@ -71,15 +113,58 @@ class GroupPresentation:
 
 
 def link_group_presentation(word: BraidWord) -> GroupPresentation:
-    """Presentation of the fundamental group of the closure of ``word``."""
-    auto = artin_rep(word)
+    """Artin's presentation of the fundamental group of the closure of
+    ``word``.  ``BudgetExceeded`` once the relators x_i^-1 * b(x_i) of a
+    prefix of the freely reduced braid hold more than
+    ``MAX_RELATOR_LETTERS`` letters in total."""
     n = word.strands
+    for auto in _artin_prefixes(free_reduce(word)):
+        letters = 0
+        for i, image in enumerate(auto.images, start=1):
+            # x_i^-1 cancels a leading x_i and nothing more
+            gen, exp = image.syllables[0]
+            letters += sum(abs(e) for _, e in image.syllables) + (-1 if gen == i and exp > 0 else 1)
+        if letters > MAX_RELATOR_LETTERS:
+            raise BudgetExceeded(
+                f"Artin relators of a braid prefix reach {letters} letters,"
+                f" past the limit of {MAX_RELATOR_LETTERS}"
+            )
+    relators = (FreeWord.generator(i, n, -1) * image for i, image in enumerate(auto.images, start=1))
+    return GroupPresentation(n, tuple(r for r in relators if not r.is_identity()))
+
+
+def arc_presentation(word: BraidWord) -> GroupPresentation:
+    """The arc presentation of the closure of ``word``: x_1..x_n, then the
+    arcs that do not end at a strand position, in the order they are made,
+    with the x's as branch generators."""
+    n = word.strands
+    at = list(range(1, n + 1))
+    crossings = []
+    for arc, k in enumerate(reversed(word.letters), start=n + 1):
+        i = abs(k) - 1
+        p, q = at[i], at[i + 1]
+        if k > 0:
+            at[i], at[i + 1] = arc, p
+            crossings.append((-arc, p, q, -p))
+        else:
+            at[i], at[i + 1] = q, arc
+            crossings.append((-arc, -q, p, q))
+    name = {arc: k for k, arc in enumerate(at, start=1) if arc > n}
+    rank = n
+    for arc in range(n + 1, n + 1 + len(word.letters)):
+        if arc not in name:
+            rank += 1
+            name[arc] = rank
+    closing = [(-k, arc) for k, arc in enumerate(at, start=1) if arc <= n]
     relators = []
-    for i in range(1, n + 1):
-        rel = FreeWord.generator(i, n, -1) * auto.images[i - 1]
-        if not rel.is_identity():
-            relators.append(rel)
-    return GroupPresentation(n, tuple(relators))
+    for relator in crossings + closing:
+        renamed = [name.get(g, g) if g > 0 else -name.get(-g, -g) for g in relator]
+        letters = FreeWord.from_letters(rank, renamed).letters()
+        while letters and letters[0] == -letters[-1]:
+            letters = letters[1:-1]
+        if letters:
+            relators.append(FreeWord.from_letters(rank, letters))
+    return GroupPresentation(rank, tuple(relators), n)
 
 
 def abelianization(presentation: GroupPresentation) -> tuple[int, list[int]]:

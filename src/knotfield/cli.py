@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from . import af, cluster
-from .artin import link_group_presentation
+from .artin import arc_presentation, link_group_presentation
 from .braid import closure_components, free_reduce, parse_braid
 from .errors import DomainError
 from .invariant import field_of, field_table, two_generator_power_braid
@@ -176,13 +176,13 @@ def _cmd_linkgroup(args) -> str:
         if args.json:
             return json.dumps({"free_rank": components, "torsion": []})
         return " + ".join(["Z"] * components)
-    presentation = link_group_presentation(word)
     if args.action == "present":
+        presentation = link_group_presentation(word)
         if args.json:
             relators = [[list(s) for s in r.syllables] for r in presentation.relators]
             return json.dumps({"rank": presentation.generator_count, "relators": relators})
         return str(presentation)
-    records = low_index_subgroups(presentation, _max_index(args))
+    records = low_index_subgroups(arc_presentation(word), _max_index(args))
     if args.json:
         return json.dumps(
             [

@@ -10,6 +10,8 @@ The subgroup column counts the records of the normal-only low-index search
 (``low_index_subgroups(..., normal_only=True)``), which prunes every branch
 with no normal completion instead of enumerating all conjugacy classes; a
 normal subgroup is its own conjugacy class, so each record is one subgroup.
+The search runs on ``artin.arc_presentation``, whose relators grow
+linearly with the braid where Artin's grow exponentially.
 The ideal column comes from ``numfield.ideals_of_norm``.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .artin import link_group_presentation
+from .artin import arc_presentation
 from .braid import BraidWord
 from .invariant import FieldInvariant, field_of
 from .numfield import ideals_of_norm
@@ -40,7 +42,7 @@ class CorrespondenceReport:
 
 def correspondence_report(word: BraidWord, max_index: int) -> CorrespondenceReport:
     invariant = field_of(word)
-    presentation = link_group_presentation(word)
+    presentation = arc_presentation(word)
     records = low_index_subgroups(presentation, max_index, normal_only=True)
     normal = Counter(r.index for r in records)
     rows = tuple(

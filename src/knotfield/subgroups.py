@@ -45,10 +45,21 @@ them is normal.  A normal table compares equal from every base at every
 node on its path, so the search still completes it, and the records are
 exactly the normal ones of the full search.
 
+Branch columns.  The search defines, compares and records only the
+first 2 * ``branch_generators`` columns of a presentation (all of them by
+default).  The later generators must be fixed by the relators once the
+branch generators act, as each arc of an arc presentation is a conjugate
+of earlier ones, so their columns fill by deduction alone; a leaf with any
+of them undefined raises ``ValueError``.  New cosets enter only through
+branch definitions, so tables, renumberings and records are those of a
+search on the branch generators alone: the arc presentation of a braid
+closure gives the records of Artin's.
+
 The index cap (10) keeps requests at desk scale, and the node budget
 ``NODE_BUDGET`` (10**7 definitions tried, read at each call) is a hard stop
 for runaway searches: the figure-eight knot group at index <= 10 tries
-about 1.5 * 10**5.
+about 1.5 * 10**5 on Artin's relators and 5.3 * 10**4 on its arc
+presentation.
 """
 
 from __future__ import annotations
@@ -86,6 +97,7 @@ def low_index_subgroups(
     if max_index > INDEX_CAP:
         raise ValueError(f"max_index {max_index} exceeds the desk-scale cap {INDEX_CAP}")
     ncols = 2 * presentation.generator_count
+    width = 2 * presentation.branch_generators
     relator_cols = [_word_to_cols(r.letters()) for r in presentation.relators]
     rotations: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
     for word in relator_cols:
@@ -99,7 +111,7 @@ def low_index_subgroups(
     records: list[SubgroupRecord] = []
     budget = [NODE_BUDGET, NODE_BUDGET]  # remaining, total
     table: list[list[int | None]] = [[None] * ncols]
-    _search(table, rotations, max_index, budget, normal_only, records)
+    _search(table, width, rotations, max_index, budget, normal_only, records)
     records.sort(key=lambda r: (r.index, r.coset_table))
     return records
 
@@ -109,13 +121,15 @@ def _word_to_cols(letters: list[int]) -> tuple[int, ...]:
     return tuple(2 * (abs(k) - 1) + (0 if k > 0 else 1) for k in letters)
 
 
-def _search(table, rotations, max_index, budget, normal_only, out):
-    normal = _minimal(table, normal_only)
+def _search(table, width, rotations, max_index, budget, normal_only, out):
+    normal = _minimal(table, width, normal_only)
     if normal is None:
         return
-    slot = _first_undefined(table)
+    slot = _first_undefined(table, width)
     if slot is None:
-        out.append(SubgroupRecord(len(table), tuple(tuple(row) for row in table), normal))
+        if any(None in row for row in table):
+            raise ValueError("the relators leave a generator past branch_generators undetermined")
+        out.append(SubgroupRecord(len(table), tuple(tuple(row[:width]) for row in table), normal))
         return
     alpha, col = slot
     candidates = [beta for beta in range(len(table)) if table[beta][col ^ 1] is None]
@@ -133,17 +147,21 @@ def _search(table, rotations, max_index, budget, normal_only, out):
             table.append([None] * len(table[0]))
         _define(table, alpha, col, beta, trail)
         if _close_under_relators(table, rotations, trail):
-            _search(table, rotations, max_index, budget, normal_only, out)
+            _search(table, width, rotations, max_index, budget, normal_only, out)
         for a, c in reversed(trail):
             table[a][c] = None
         if new_row:
             table.pop()
 
 
-def _first_undefined(table):
+def _first_undefined(table, width):
+    """The first undefined branch entry in row-major order.  The branch
+    columns come first, so a row has one exactly when its first undefined
+    entry is one."""
     for alpha, row in enumerate(table):
-        for col, entry in enumerate(row):
-            if entry is None:
+        if None in row:
+            col = row.index(None)
+            if col < width:
                 return alpha, col
     return None
 
@@ -192,12 +210,15 @@ def _scan(table, start, word, trail) -> bool:
     return True
 
 
-def _minimal(table, normal_only):
+def _minimal(table, width, normal_only):
     """Sims' minimality test on a partial table.  None when renumbering from
     some base coset gives a smaller table, so no completion is canonical, or
     with ``normal_only`` any different table, so no completion is normal;
     otherwise whether every base renumbered the defined entries to
-    themselves, which on a complete table means the subgroup is normal."""
+    themselves, which on a complete table means the subgroup is normal.
+    Only the branch columns are compared."""
+    if width < len(table[0]):
+        table = [row[:width] for row in table]
     normal = True
     for base in range(1, len(table)):
         sign = _compare_renumbered(table, base)

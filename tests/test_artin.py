@@ -10,15 +10,17 @@ import random
 
 import pytest
 
+from knotfield import artin
 from knotfield.artin import (
     GroupPresentation,
     abelianization,
+    arc_presentation,
     artin_generator,
     artin_rep,
     link_group_presentation,
 )
 from knotfield.braid import BraidWord, closure_components, markov_conjugate
-from knotfield.errors import IndexOutOfRange
+from knotfield.errors import BudgetExceeded, IndexOutOfRange
 from knotfield.freegroup import FreeWord
 
 
@@ -202,6 +204,72 @@ class TestLinkGroupPresentation:
         text = str(pres)
         assert text.startswith("⟨x1, x2 | ")
         assert text.endswith("⟩")
+
+
+class TestRelatorLimit:
+    def test_long_relators_are_refused(self):
+        # Artin's relators for (s1 s2^-1)^k grow about 2.6 times per pair of letters
+        pres = link_group_presentation(BraidWord(3, (1, -2) * 10))
+        assert sum(len(r.letters()) for r in pres.relators) == 43784
+        with pytest.raises(
+            BudgetExceeded,
+            match="^Artin relators of a braid prefix reach 114628 letters, past the limit of 100000$",
+        ):
+            link_group_presentation(BraidWord(3, (1, -2) * 11))
+
+    def test_limit_counts_relator_letters(self, monkeypatch):
+        # s1^3 on two strands: the relators hold 4, 8 and 12 letters after
+        # each braid letter (x1^-1 cancels the leading x1 of x1's image)
+        braid = BraidWord(2, (1, 1, 1))
+        monkeypatch.setattr(artin, "MAX_RELATOR_LETTERS", 12)
+        assert sum(len(r.letters()) for r in link_group_presentation(braid).relators) == 12
+        monkeypatch.setattr(artin, "MAX_RELATOR_LETTERS", 11)
+        with pytest.raises(BudgetExceeded, match="reach 12 letters, past the limit of 11"):
+            link_group_presentation(braid)
+        monkeypatch.setattr(artin, "MAX_RELATOR_LETTERS", 7)
+        with pytest.raises(BudgetExceeded, match="reach 8 letters, past the limit of 7"):
+            link_group_presentation(braid)
+
+    def test_cancelling_word_is_reduced_first(self):
+        # (s1 s2^-1)^11 (s2 s1^-1)^11 is freely trivial: its prefix (s1 s2^-1)^11
+        # alone passes the limit, but the reduced word has no letters
+        braid = BraidWord(3, (1, -2) * 11 + (2, -1) * 11)
+        assert str(link_group_presentation(braid)) == "⟨x1, x2, x3 |⟩"
+        # a cancelling pair inside a word leaves the relators unchanged
+        assert link_group_presentation(BraidWord(3, (1, 2, -2, -1, 1, -2))) == link_group_presentation(
+            BraidWord(3, (1, -2))
+        )
+
+
+class TestArcPresentation:
+    def test_one_short_relator_per_crossing(self):
+        rng = random.Random(24)
+        for _ in range(100):
+            braid = random_word(rng, rng.randint(2, 5))
+            pres = arc_presentation(braid)
+            assert pres.branch_generators == braid.strands
+            assert braid.strands <= pres.generator_count <= braid.strands + len(braid.letters)
+            assert len(pres.relators) <= len(braid.letters) + braid.strands
+            assert all(1 <= len(r.letters()) <= 4 for r in pres.relators)
+            # cyclically reduced: no relator starts with the inverse of its last letter
+            assert all(r.letters()[0] != -r.letters()[-1] for r in pres.relators)
+
+    def test_same_abelianization_as_artin(self):
+        rng = random.Random(25)
+        for _ in range(100):
+            braid = random_word(rng, rng.randint(2, 5))
+            assert abelianization(arc_presentation(braid)) == abelianization(link_group_presentation(braid))
+
+    def test_trefoil(self):
+        # s1^3 read last to first: arcs a3 = x1 x2 x1^-1, a4 = a3 x1 a3^-1,
+        # a5 = a4 a3 a4^-1; the closure names a5 x1 and a4 x2
+        pres = arc_presentation(BraidWord(2, (1, 1, 1)))
+        assert str(pres) == "⟨x1, x2, x3 | x3^-1 x1 x2 x1^-1, x2^-1 x3 x1 x3^-1, x1^-1 x2 x3 x2^-1⟩"
+
+    def test_long_braid_stays_linear(self):
+        pres = arc_presentation(BraidWord(3, (1, -2) * 64))
+        assert pres.generator_count == 3 + 128 - 3
+        assert sum(len(r.letters()) for r in pres.relators) == 4 * 128
 
 
 class TestAbelianization:

@@ -118,3 +118,27 @@ def test_deep_torus_mutation_is_refused_in_time():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "BudgetExceeded: exchange operand of 20737 terms exceeds the limit of 10000\n"
+
+
+_LONG_BRAID = " ".join(["1 -2"] * 16)
+
+
+def test_present_long_braid_is_refused_in_time():
+    # Artin's relators for (1 -2)^16 would run to gigabytes; (1 -2)^11
+    # already passes the letter limit
+    done = _run(["linkgroup", "present", _LONG_BRAID], deadline=2)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("BudgetExceeded: ") and done.stderr.count("\n") == 1
+
+
+def test_subgroups_long_braid_is_bounded():
+    # searched on the arc presentation, with Artin's relators never built
+    done = _run(["linkgroup", "subgroups", _LONG_BRAID, "--max-index", "4"], deadline=10)
+    assert done.returncode == 0, done.stderr
+
+
+def test_correspondence_report_to_index_ten_is_bounded():
+    # 93.5 s on Artin's relators (CPython 3.11, 2 vCPUs); about 2 s on the arc presentation
+    done = _run(["report", "correspondence", "--braid", "-1 2 -1 2 2", "--max-index", "10"], deadline=30)
+    assert done.returncode == 0, done.stderr

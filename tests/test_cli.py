@@ -88,6 +88,12 @@ class TestLinkgroupCommand:
             "relators": [[[3, 1], [1, -1]], [[2, -1], [1, 1]], [[3, -2], [2, 1], [3, 1]]],
         }
 
+    def test_present_cancelling_word(self):
+        # (1 -2)^11 alone passes the relator limit; the whole word reduces to nothing
+        word = " ".join(["1 -2"] * 11 + ["2 -1"] * 11)
+        result = run(["linkgroup", "present", word])
+        assert (result.exit_code, result.stdout.strip()) == (0, "⟨x1, x2, x3 |⟩")
+
     def test_abelianize(self):
         payload = out_json(["--strands", "2", "--json", "linkgroup", "abelianize", "1 1 1"])
         assert payload == {"free_rank": 1, "torsion": []}

@@ -14,7 +14,11 @@ import random
 
 import pytest
 
-from knotfield.artin import GroupPresentation, link_group_presentation
+from knotfield.artin import (
+    GroupPresentation,
+    arc_presentation,
+    link_group_presentation,
+)
 from knotfield.braid import BraidWord
 from knotfield.errors import BudgetExceeded
 from knotfield import subgroups
@@ -271,6 +275,9 @@ class TestDeductionQueue:
         (presentation_from_letters(2, [[1, 2, -1, -2], [2]]), 4),
         (presentation_from_letters(1, [[1] * 6]), 7),
         (presentation_from_letters(2, [[1, 1], [2, 2, 2]]), 5),
+        # branching on the x columns only
+        (arc_presentation(BraidWord(3, (-1, 2, -1, 2, 2))), 5),
+        (arc_presentation(BraidWord(2, (1, 1, 1))), 5),
     ]
 
     @pytest.mark.parametrize("presentation, max_index", CORPUS)
@@ -333,6 +340,40 @@ class TestNormalOnly:
             BudgetExceeded, match="node budget of 5 definitions exhausted at max_index 4"
         ):
             low_index_subgroups(FREE_2, 4, normal_only=True)
+
+
+class TestArcPresentation:
+    """The arc presentation branches on the x columns only and fills the arc
+    columns by deduction; its records must be the Artin search's records."""
+
+    def test_same_records_as_artin(self):
+        rng = random.Random(20)
+        for _ in range(60):
+            strands = rng.randint(2, 4)
+            letters = tuple(
+                rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 7))
+            )
+            max_index = rng.randint(1, 5)
+            braid = BraidWord(strands, letters)
+            for normal_only in (False, True):
+                artin, arcs = (
+                    low_index_subgroups(pres, max_index, normal_only=normal_only)
+                    for pres in (link_group_presentation(braid), arc_presentation(braid))
+                )
+                assert arcs == artin, (strands, letters, max_index, normal_only)
+
+    def test_branch_generators_range(self):
+        relator = FreeWord.from_letters(2, [-2, 1])
+        assert GroupPresentation(2, (relator,)).branch_generators == 2
+        assert GroupPresentation(2, (relator,), 1).branch_generators == 1
+        for branch in (0, 3):
+            with pytest.raises(ValueError, match="branch_generators"):
+                GroupPresentation(2, (relator,), branch)
+
+    def test_undetermined_generator_is_refused(self):
+        # x2 of <x1, x2 | x2^2> is not fixed by x1's action
+        with pytest.raises(ValueError, match="undetermined"):
+            low_index_subgroups(GroupPresentation(2, (FreeWord.from_letters(2, [2, 2]),), 1), 2)
 
 
 class TestUnknotPresentation:
