@@ -22,9 +22,9 @@ operand of more than MAX_OPERAND_TERMS numerator terms raises
 BudgetExceeded before either route multiplies.
 
 Enumeration and mutation trees need only seed identity, so they run on
-tropical seeds (B, C, G) instead: B, the c-vectors (columns of C) and the
-g-vectors, relative to the start seed and mutated by integer rules alone
-(Fomin and Zelevinsky, Cluster algebras IV, 2007).
+the extended exchange matrix [B; C] instead: B over the C-matrix, whose
+columns are the c-vectors relative to the start seed, mutated by the entry
+rule of B alone (Fomin and Zelevinsky, Cluster algebras IV, 2007).
 
 Everything here is a pure function of immutable values; mutation is
 memoized, which makes replaying shared prefixes of direction sequences
@@ -45,6 +45,13 @@ MatrixRows = tuple[tuple[int, ...], ...]
 # numerator terms of one exchange operand; on the torus path 1,2,3,... the
 # largest operand has 7921 terms at step 11 and 20737 at step 12
 MAX_OPERAND_TERMS = 10_000
+# vertices of a polygon seed, whose matrix has (vertices - 3)^2 entries
+MAX_POLYGON_VERTICES = 100
+# entries one mutation-tree level may write: a C block of rank^2 per child
+# and an edge-matrix row of at most (level size * rank) per seed, so
+# level size * rank * (rank^2 + level size); polygon 11 at depth 6 needs
+# 16,788,616 at its last level
+MAX_TREE_ENTRIES = 20_000_000
 
 _TORUS_WITH_CUSP = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
 # (x1^2 + x2^2 + x3^2) / (x1 x2 x3), the same in every seed of the torus
@@ -87,11 +94,11 @@ def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return ExchangeMatrix(_mutate_b(matrix.rows, k - 1))
 
 
-def _mutate_rows(rows: MatrixRows, pivot: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """Rows mutated at k (0-based), with ``pivot`` = row k of B: a_ik -> -a_ik
-    and a_ij -> a_ij + (|a_ik| b_kj + a_ik |b_kj|) / 2 for j != k.  This is
-    the entry rule of the extended matrix [B; C], so it serves the rows of
-    B other than row k and the rows of C."""
+def _mutate_b(rows: MatrixRows, k: int) -> MatrixRows:
+    """Rows of B, or of the extended matrix [B; C], mutated at k (0-based):
+    row k of B is negated, and every other row has a_ik -> -a_ik and
+    a_ij -> a_ij + (|a_ik| b_kj + a_ik |b_kj|) / 2 for j != k."""
+    pivot = rows[k]
     out = []
     for row in rows:
         a = row[k]
@@ -102,13 +109,7 @@ def _mutate_rows(rows: MatrixRows, pivot: tuple[int, ...], k: int) -> list[tuple
                 -a if j == k else v + (abs(a) * p + a * abs(p)) // 2
                 for j, (v, p) in enumerate(zip(row, pivot))
             ))
-    return out
-
-
-def _mutate_b(rows: MatrixRows, k: int) -> MatrixRows:
-    """Exchange-matrix rows mutated at k (0-based); row k is negated."""
-    out = _mutate_rows(rows, rows[k], k)
-    out[k] = tuple(-v for v in rows[k])
+    out[k] = tuple(-v for v in pivot)  # b_kk = 0 left row k as it was
     return tuple(out)
 
 
@@ -193,27 +194,10 @@ def laurent_check(seed: Seed, directions) -> bool:
     return True
 
 
-TropicalSeed = tuple[MatrixRows, MatrixRows, MatrixRows]  # (B, C rows, g-vectors)
-
-
-def _tropical_start(seed: Seed) -> TropicalSeed:
+def _extended_start(seed: Seed) -> MatrixRows:
+    """[B; C] at the start seed: the rows of B over those of C = I."""
     n = seed.rank
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return seed.matrix.rows, identity, identity
-
-
-def _mutate_tropical(seed: TropicalSeed, k: int) -> TropicalSeed:
-    """Mutation at k (0-based).  Column k of C is sign-coherent with sign
-    eps (Derksen, Weyman and Zelevinsky, 2010), and the new g-vector is
-    g'_k = -g_k + sum_i [-eps b_ik]_+ g_i; the others do not change."""
-    b, c, g = seed
-    eps = 1 if any(row[k] > 0 for row in c) else -1
-    new_g = [-v for v in g[k]]
-    for row, g_i in zip(b, g):
-        weight = -eps * row[k]
-        if weight > 0:
-            new_g = [v + weight * w for v, w in zip(new_g, g_i)]
-    return _mutate_b(b, k), tuple(_mutate_rows(c, b[k], k)), g[:k] + (tuple(new_g),) + g[k + 1 :]
+    return seed.matrix.rows + tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
@@ -222,31 +206,30 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
     Returns (count, finite).  If the closure has not completed once
     ``max_seeds`` distinct seeds are known, reports (max_seeds, False).
 
-    Runs on tropical seeds from ``seed.matrix`` and keys a seed by its
-    g-vectors in sorted order, together with B permuted by the same order.
-    Two keys are equal exactly when the seeds agree up to relabelling,
-    because g-vectors determine cluster variables (Derksen, Weyman and
-    Zelevinsky, 2010; Gross, Hacking, Keel and Kontsevich, 2018), the
+    Runs on the extended exchange matrix [B; C] from ``seed.matrix``
+    (Fomin and Zelevinsky, Cluster algebras IV, 2007) and keys a seed by
+    its c-vectors, the columns of C, as a multiset.  Two keys are equal
+    exactly when the seeds agree up to relabelling: C_t fixes the seed with
+    principal coefficients, since tropical duality gives G_t = (C_t^T)^-1
+    and B_t = C_t^T B_0 C_t (Nakanishi and Zelevinsky, 2012) and g-vectors
+    fix cluster variables (Gross, Hacking, Keel and Kontsevich, 2018); the
     exchange graph does not depend on coefficients (Cao, Huang and Li,
-    2020), and ``ExchangeMatrix`` only admits skew-symmetric B.
+    2020); and ``ExchangeMatrix`` only admits skew-symmetric B.  The
+    c-vectors are distinct because C is invertible, and a relabelling
+    permutes them and B together.
     """
     if max_seeds < 1:
         raise ValueError("max_seeds must be at least 1")
-
-    def key(node: TropicalSeed) -> tuple:
-        b, _, g = node
-        order = sorted(range(len(g)), key=g.__getitem__)
-        return tuple(g[i] for i in order), tuple(tuple(b[i][j] for j in order) for i in order)
-
-    start = _tropical_start(seed)
-    seen = {key(start)}
+    n = seed.rank
+    start = _extended_start(seed)
+    seen = {tuple(sorted(zip(*start[n:])))}
     frontier = [start]
     while frontier:
         next_frontier = []
         for current in frontier:
-            for k in range(seed.rank):
-                neighbour = _mutate_tropical(current, k)
-                form = key(neighbour)
+            for k in range(n):
+                neighbour = _mutate_b(current, k)
+                form = tuple(sorted(zip(*neighbour[n:])))
                 if form in seen:
                     continue
                 if len(seen) >= max_seeds:
@@ -259,9 +242,14 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
 
 def polygon_seed(vertex_count: int) -> Seed:
     """Initial seed of the fan triangulation of a convex polygon: the path
-    quiver on vertex_count - 3 diagonals."""
+    quiver on vertex_count - 3 diagonals.  More than MAX_POLYGON_VERTICES
+    vertices raise BudgetExceeded before the matrix is built."""
     if vertex_count < 4:
         raise TooSmall(f"a polygon seed needs at least 4 vertices, got {vertex_count}")
+    if vertex_count > MAX_POLYGON_VERTICES:
+        raise BudgetExceeded(
+            f"a polygon seed of {vertex_count} vertices exceeds the limit of {MAX_POLYGON_VERTICES}"
+        )
     n = vertex_count - 3
     rows = []
     for i in range(n):
@@ -315,28 +303,36 @@ def mutation_tree(seed: Seed, depth: int, prune_backtrack: bool = False) -> Brat
     within each level; an edge of multiplicity m records m directions
     leading from a seed to the same seed one level down.  With
     ``prune_backtrack`` the immediately undoing direction is skipped.
+    Depth above 6, or a level that could write more than MAX_TREE_ENTRIES
+    entries, raises BudgetExceeded before that level is built.
 
-    Runs on tropical seeds from ``seed.matrix`` and keys a seed by B and
-    its labelled g-vectors, which is exact for the reasons given under
-    ``enumerate_seeds``.
+    Runs on [B; C] from ``seed.matrix`` and keys a seed by its labelled
+    C block, which fixes B and the cluster variables for the reasons given
+    under ``enumerate_seeds``.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > 6:
         raise BudgetExceeded(f"tree depth {depth} exceeds the node-count guard (6)")
-    current = [(_tropical_start(seed), None)]  # (seed, direction used to arrive)
+    n = seed.rank
+    current = [(_extended_start(seed), None)]  # (seed, direction used to arrive)
     sizes = [1]
     matrices = []
-    for _ in range(depth):
-        index: dict[tuple, int] = {}
-        nxt: list[tuple[TropicalSeed, int | None]] = []
+    for level in range(1, depth + 1):
+        entries = len(current) * n * (n * n + len(current))
+        if entries > MAX_TREE_ENTRIES:
+            raise BudgetExceeded(
+                f"tree level {level} could write {entries} entries, above the limit of {MAX_TREE_ENTRIES}"
+            )
+        index: dict[MatrixRows, int] = {}
+        nxt: list[tuple[MatrixRows, int | None]] = []
         edges: list[tuple[int, int]] = []  # (parent, child), one per direction
         for pos, (node, arrived) in enumerate(current):
-            for k in range(seed.rank):
+            for k in range(n):
                 if prune_backtrack and arrived == k:
                     continue
-                child = _mutate_tropical(node, k)
-                label = (child[0], child[2])
+                child = _mutate_b(node, k)
+                label = child[n:]
                 if label not in index:
                     index[label] = len(nxt)
                     nxt.append((child, k))

@@ -142,3 +142,19 @@ def test_correspondence_report_to_index_ten_is_bounded():
     # 93.5 s on Artin's relators (CPython 3.11, 2 vCPUs); about 2 s on the arc presentation
     done = _run(["report", "correspondence", "--braid", "-1 2 -1 2 2", "--max-index", "10"], deadline=30)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "args, deadline",
+    [
+        # a 99997 x 99997 exchange matrix; 1500 vertices took 5.2 s and 207 MiB
+        pytest.param(["cluster", "enumerate", "--polygon", "100000"], 2, id="enumerate-polygon-100000"),
+        # depth 3 built a dense 1653 x 32619 edge matrix in 18.6 s (CPython 3.11, 2 vCPUs)
+        pytest.param(["cluster", "tree", "--depth", "4", "--polygon", "60"], 10, id="tree-polygon-60"),
+    ],
+)
+def test_large_cluster_seeds_are_refused_in_time(args, deadline):
+    done = _run(args, deadline=deadline)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("BudgetExceeded: ") and done.stderr.count("\n") == 1

@@ -3,9 +3,11 @@
 The finite-type counts are checked against an independent oracle that
 enumerates the triangulations of a convex polygon as explicit diagonal
 sets; the closure sizes must be the number of triangulations.  Enumeration
-and mutation trees run on integer (tropical) seeds, so they are also
-checked against a polynomial oracle that mutates Laurent seeds and keys
-them by their cluster variables.
+and mutation trees run on the integer extended exchange matrix [B; C] and
+key seeds by their c-vectors, so they are also checked against a
+polynomial oracle that mutates Laurent seeds and keys them by their
+cluster variables, and the tropical duality B_t = C_t^T B_0 C_t that the
+c-vector key rests on is checked on random mutation paths.
 """
 
 import itertools
@@ -21,9 +23,9 @@ from knotfield import cluster
 from knotfield.cli import run
 from knotfield.cluster import (
     ExchangeMatrix,
+    _extended_start,
+    _mutate_b,
     _mutate_seed_cached,
-    _mutate_tropical,
-    _tropical_start,
     Seed,
     SurfaceSpec,
     enumerate_seeds,
@@ -444,25 +446,40 @@ class TestAgainstLaurentOracle:
         diagram = mutation_tree(seed, 6, pruned)
         assert (diagram.level_sizes, diagram.edge_matrices) == laurent_tree(seed, 6, pruned)
 
+    def test_random_matrices(self):
+        # 28 of the 40 are of infinite type, most with matrices of no case
+        # above; |b| <= 2 keeps the Laurent oracle's operands small
+        rng = random.Random(58)
+        for trial in range(40):
+            seed = initial_seed(random_skew(rng, rng.randint(2, 4), bound=2))
+            pruned = bool(trial % 2)
+            assert enumerate_seeds(seed, 10) == laurent_closure(seed, 10)
+            diagram = mutation_tree(seed, 3, pruned)
+            assert (diagram.level_sizes, diagram.edge_matrices) == laurent_tree(seed, 3, pruned)
+
 
 class TestTropicalSeeds:
     def test_sign_coherence_and_duality_on_random_paths(self):
-        # every column of C is nonzero with entries of one sign, and the
-        # g-vectors are the dual basis of the c-vectors: G^T C = I
+        # every column of C is nonzero with entries of one sign, and C fixes
+        # B by tropical duality: B_t = C_t^T B_0 C_t, which is what lets
+        # enumeration and trees key a seed by its c-vectors alone
         rng = random.Random(57)
         for _ in range(150):
             size = rng.randint(1, 5)
-            node = _tropical_start(initial_seed(random_skew(rng, size, bound=2)))
+            start = _extended_start(initial_seed(random_skew(rng, size, bound=2)))
+            b0, node = start[:size], start
             for _ in range(rng.randint(1, 8)):
-                node = _mutate_tropical(node, rng.randrange(size))
-                _, c, g = node
+                node = _mutate_b(node, rng.randrange(size))
+                b, c = node[:size], node[size:]
                 for j in range(size):
                     column = [row[j] for row in c]
                     assert any(column)
                     assert all(v >= 0 for v in column) or all(v <= 0 for v in column)
                 for i in range(size):
                     for j in range(size):
-                        assert sum(g[i][m] * c[m][j] for m in range(size)) == int(i == j)
+                        assert b[i][j] == sum(
+                            c[m][i] * b0[m][l] * c[l][j] for m in range(size) for l in range(size)
+                        )
 
 
 class TestPolygonAndSurfaceSeeds:
@@ -482,6 +499,11 @@ class TestPolygonAndSurfaceSeeds:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             polygon_seed(3)
+
+    def test_vertex_limit(self):
+        assert polygon_seed(cluster.MAX_POLYGON_VERTICES).rank == cluster.MAX_POLYGON_VERTICES - 3
+        with pytest.raises(BudgetExceeded, match=f"limit of {cluster.MAX_POLYGON_VERTICES}"):
+            polygon_seed(cluster.MAX_POLYGON_VERTICES + 1)
 
     def test_torus_seed_matrix(self):
         seed = surface_seed(SurfaceSpec(1, 1))
@@ -542,6 +564,16 @@ class TestMutationTree:
             mutation_tree(polygon_seed(4), 7)
         with pytest.raises(ValueError):
             mutation_tree(polygon_seed(4), -1)
+
+    def test_entry_limit(self, monkeypatch):
+        # rank 3: level 1 may write 1 * 3 * (9 + 1) = 30 entries, level 2
+        # 3 * 3 * (9 + 3) = 108
+        monkeypatch.setattr(cluster, "MAX_TREE_ENTRIES", 108)
+        assert mutation_tree(polygon_seed(6), 2).level_sizes == (1, 3, 6)
+        monkeypatch.setattr(cluster, "MAX_TREE_ENTRIES", 107)
+        assert mutation_tree(polygon_seed(6), 1).level_sizes == (1, 3)
+        with pytest.raises(BudgetExceeded, match="tree level 2 could write 108 entries, above the limit of 107"):
+            mutation_tree(polygon_seed(6), 2)
 
 
 def test_seed_json():
