@@ -284,18 +284,17 @@ def dimension_group(matrix: IncidenceMatrix) -> DimensionGroupDescriptor:
 @dataclass(frozen=True)
 class BratteliDiagram:
     """Leveled multigraph: vertex counts per level and one multiplicity
-    matrix per gap, of shape (count at level) x (count at next level)."""
+    matrix per gap, of shape (count at level) x (count at next level).
+    Both fields are tuples, kept as given: construction validates them and
+    copies nothing."""
 
     level_sizes: tuple[int, ...]
     edge_matrices: tuple[Matrix, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "level_sizes", tuple(self.level_sizes))
-        mats = tuple(tuple(tuple(row) for row in m) for m in self.edge_matrices)
-        object.__setattr__(self, "edge_matrices", mats)
-        if len(self.level_sizes) != len(mats) + 1:
+        if len(self.level_sizes) != len(self.edge_matrices) + 1:
             raise ValueError("need exactly one edge matrix per consecutive level pair")
-        for level, mat in enumerate(mats):
+        for level, mat in enumerate(self.edge_matrices):
             if len(mat) != self.level_sizes[level] or any(
                 len(row) != self.level_sizes[level + 1] for row in mat
             ):

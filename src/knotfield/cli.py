@@ -164,7 +164,7 @@ def _cmd_braid(args) -> str:
         return json.dumps({"components": count}) if args.json else str(count)
     reduced = free_reduce(word)
     if args.json:
-        return json.dumps({"strands": reduced.strands, "letters": list(reduced.letters)})
+        return json.dumps({"strands": reduced.strands, "letters": reduced.letters})
     return str(reduced)
 
 
@@ -179,14 +179,14 @@ def _cmd_linkgroup(args) -> str:
     if args.action == "present":
         presentation = link_group_presentation(word)
         if args.json:
-            relators = [[list(s) for s in r.syllables] for r in presentation.relators]
+            relators = [r.syllables for r in presentation.relators]
             return json.dumps({"rank": presentation.generator_count, "relators": relators})
         return str(presentation)
     records = low_index_subgroups(arc_presentation(word), _max_index(args))
     if args.json:
         return json.dumps(
             [
-                {"index": r.index, "normal": r.is_normal, "table": [list(row) for row in r.coset_table]}
+                {"index": r.index, "normal": r.is_normal, "table": r.coset_table}
                 for r in records
             ]
         )
@@ -202,8 +202,7 @@ def _cmd_cluster(args) -> str:
         for k in directions:
             current = cluster.mutate_seed(current, k)
         if args.json:
-            rows = [list(row) for row in current.matrix.rows]
-            return json.dumps({"B": rows, "vars": [v.render() for v in current.variables]})
+            return json.dumps({"B": current.matrix.rows, "vars": [v.render() for v in current.variables]})
         return _seed_text(current)
     if args.action == "tree":
         if args.depth < 0:
@@ -211,10 +210,7 @@ def _cmd_cluster(args) -> str:
         diagram = cluster.mutation_tree(seed, args.depth, args.prune_backtrack)
         if args.dot:
             return af.emit_dot(diagram)
-        payload = {
-            "levels": list(diagram.level_sizes),
-            "matrices": [[list(row) for row in m] for m in diagram.edge_matrices],
-        }
+        payload = {"levels": diagram.level_sizes, "matrices": diagram.edge_matrices}
         return json.dumps(payload) if args.json else " ".join(str(s) for s in diagram.level_sizes)
     if args.action == "enumerate":
         if args.max < 1:
@@ -249,18 +245,15 @@ def _cmd_af(args) -> str:
         diagram = af.stationary_diagram(matrix, args.levels)
         if args.dot:
             return af.emit_dot(diagram)
-        payload = {
-            "levels": list(diagram.level_sizes),
-            "matrix": [list(r) for r in matrix.entries],
-        }
+        payload = {"levels": diagram.level_sizes, "matrix": matrix.entries}
         return json.dumps(payload) if args.json else " ".join(str(s) for s in diagram.level_sizes)
     data = af.perron(matrix)
     exact = None if data.exact is None else str(data.exact)
     if args.json:
         return json.dumps({
             "size": matrix.size,
-            "matrix": [list(r) for r in matrix.entries],
-            "lambda": {"exact": exact, "float": data.eigenvalue, "minpoly": list(data.min_polynomial)},
+            "matrix": matrix.entries,
+            "lambda": {"exact": exact, "float": data.eigenvalue, "minpoly": data.min_polynomial},
         })
     return f"lambda {data.eigenvalue:.12f}" + (f" = {exact}" if exact else "")
 

@@ -50,7 +50,8 @@ MAX_POLYGON_VERTICES = 100
 # entries one mutation-tree level may write: a C block of rank^2 per child
 # and an edge-matrix row of at most (level size * rank) per seed, so
 # level size * rank * (rank^2 + level size); polygon 11 at depth 6 needs
-# 16,788,616 at its last level
+# 16,788,616 at its last level; also the c-vector entries that seed
+# enumeration may hold, rank^2 per seed
 MAX_TREE_ENTRIES = 20_000_000
 
 _TORUS_WITH_CUSP = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
@@ -205,6 +206,8 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
 
     Returns (count, finite).  If the closure has not completed once
     ``max_seeds`` distinct seeds are known, reports (max_seeds, False).
+    Each seed's key holds rank^2 entries, so adding a seed that would make
+    the keys held pass MAX_TREE_ENTRIES raises BudgetExceeded instead.
 
     Runs on the extended exchange matrix [B; C] from ``seed.matrix``
     (Fomin and Zelevinsky, Cluster algebras IV, 2007) and keys a seed by
@@ -221,6 +224,7 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
     if max_seeds < 1:
         raise ValueError("max_seeds must be at least 1")
     n = seed.rank
+    cap = MAX_TREE_ENTRIES // (n * n)  # seeds whose keys fit the entry limit
     start = _extended_start(seed)
     seen = {tuple(sorted(zip(*start[n:])))}
     frontier = [start]
@@ -234,6 +238,11 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
                     continue
                 if len(seen) >= max_seeds:
                     return max_seeds, False
+                if len(seen) >= cap:
+                    raise BudgetExceeded(
+                        f"{len(seen) + 1} seeds of rank {n} would hold {(len(seen) + 1) * n * n} "
+                        f"c-vector entries, above the limit of {MAX_TREE_ENTRIES}"
+                    )
                 seen.add(form)
                 next_frontier.append(neighbour)
         frontier = next_frontier
@@ -308,7 +317,9 @@ def mutation_tree(seed: Seed, depth: int, prune_backtrack: bool = False) -> Brat
 
     Runs on [B; C] from ``seed.matrix`` and keys a seed by its labelled
     C block, which fixes B and the cluster variables for the reasons given
-    under ``enumerate_seeds``.
+    under ``enumerate_seeds``.  Each level's rows are written once: a seed's
+    child indices are recorded as the level is walked, then counted into
+    its row, which the diagram keeps as the tuple it was frozen to.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -316,7 +327,6 @@ def mutation_tree(seed: Seed, depth: int, prune_backtrack: bool = False) -> Brat
         raise BudgetExceeded(f"tree depth {depth} exceeds the node-count guard (6)")
     n = seed.rank
     current = [(_extended_start(seed), None)]  # (seed, direction used to arrive)
-    sizes = [1]
     matrices = []
     for level in range(1, depth + 1):
         entries = len(current) * n * (n * n + len(current))
@@ -326,8 +336,9 @@ def mutation_tree(seed: Seed, depth: int, prune_backtrack: bool = False) -> Brat
             )
         index: dict[MatrixRows, int] = {}
         nxt: list[tuple[MatrixRows, int | None]] = []
-        edges: list[tuple[int, int]] = []  # (parent, child), one per direction
-        for pos, (node, arrived) in enumerate(current):
+        children: list[list[int]] = []  # per seed, the child index of each direction
+        for node, arrived in current:
+            targets = []
             for k in range(n):
                 if prune_backtrack and arrived == k:
                     continue
@@ -336,11 +347,14 @@ def mutation_tree(seed: Seed, depth: int, prune_backtrack: bool = False) -> Brat
                 if label not in index:
                     index[label] = len(nxt)
                     nxt.append((child, k))
-                edges.append((pos, index[label]))
-        rows = [[0] * len(nxt) for _ in current]
-        for i, j in edges:
-            rows[i][j] += 1
-        matrices.append(rows)
-        sizes.append(len(nxt))
+                targets.append(index[label])
+            children.append(targets)
+        rows = []
+        for targets in children:
+            row = [0] * len(nxt)
+            for j in targets:
+                row[j] += 1
+            rows.append(tuple(row))
+        matrices.append(tuple(rows))
         current = nxt
-    return BratteliDiagram(sizes, matrices)
+    return BratteliDiagram((*map(len, matrices), len(current)), tuple(matrices))

@@ -56,10 +56,11 @@ search on the branch generators alone: the arc presentation of a braid
 closure gives the records of Artin's.
 
 The index cap (10) keeps requests at desk scale, and the node budget
-``NODE_BUDGET`` (10**7 definitions tried, read at each call) is a hard stop
+``NODE_BUDGET`` (10**6 definitions tried, read at each call) is a hard stop
 for runaway searches: the figure-eight knot group at index <= 10 tries
 about 1.5 * 10**5 on Artin's relators and 5.3 * 10**4 on its arc
-presentation.
+presentation.  The refusal names the index of the partial table at which
+the search stood.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .errors import BudgetExceeded
 
 
 INDEX_CAP = 10
-NODE_BUDGET = 10_000_000
+NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,8 @@ def _search(table, width, rotations, max_index, budget, normal_only, out):
         budget[0] -= 1
         if budget[0] < 0:
             raise BudgetExceeded(
-                f"node budget of {budget[1]} definitions exhausted at max_index {max_index}"
+                f"node budget of {budget[1]} definitions exhausted at max_index {max_index}, "
+                f"with the search at index {len(table)}"
             )
         trail: list[tuple[int, int]] = []
         new_row = beta == len(table)

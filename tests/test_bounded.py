@@ -138,6 +138,16 @@ def test_subgroups_long_braid_is_bounded():
     assert done.returncode == 0, done.stderr
 
 
+def test_subgroups_node_budget_is_reached_in_time():
+    # 158 s at a budget of 10**7 definitions; about 15 s at 10**6 (CPython 3.11, 2 vCPUs)
+    done = _run(["linkgroup", "subgroups", "1 1 1 1 1 -2 -2 -2 -2 -2", "--max-index", "10"], deadline=30)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        "BudgetExceeded: node budget of 1000000 definitions exhausted at max_index 10, with the search at index 10\n"
+    )
+
+
 def test_correspondence_report_to_index_ten_is_bounded():
     # 93.5 s on Artin's relators (CPython 3.11, 2 vCPUs); about 2 s on the arc presentation
     done = _run(["report", "correspondence", "--braid", "-1 2 -1 2 2", "--max-index", "10"], deadline=30)
@@ -151,6 +161,10 @@ def test_correspondence_report_to_index_ten_is_bounded():
         pytest.param(["cluster", "enumerate", "--polygon", "100000"], 2, id="enumerate-polygon-100000"),
         # depth 3 built a dense 1653 x 32619 edge matrix in 18.6 s (CPython 3.11, 2 vCPUs)
         pytest.param(["cluster", "tree", "--depth", "4", "--polygon", "60"], 10, id="tree-polygon-60"),
+        # 10000 seeds of rank 97 would hold 9.4 * 10**7 c-vector entries; it once answered after 8-9 s
+        pytest.param(
+            ["cluster", "enumerate", "--polygon", "100", "--max", "10000"], 5, id="enumerate-polygon-100-max-10000"
+        ),
     ],
 )
 def test_large_cluster_seeds_are_refused_in_time(args, deadline):

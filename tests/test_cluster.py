@@ -13,6 +13,7 @@ c-vector key rests on is checked on random mutation paths.
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -405,6 +406,17 @@ class TestEnumeration:
         assert enumerate_seeds(polygon_seed(5), 5) == (5, True)
         assert enumerate_seeds(polygon_seed(5), 4) == (4, False)
 
+    def test_entry_limit(self, monkeypatch):
+        # rank 3: the 14 seeds of the hexagon hold 14 * 9 = 126 c-vector entries
+        monkeypatch.setattr(cluster, "MAX_TREE_ENTRIES", 126)
+        assert enumerate_seeds(polygon_seed(6), 100) == (14, True)
+        monkeypatch.setattr(cluster, "MAX_TREE_ENTRIES", 125)
+        assert enumerate_seeds(polygon_seed(6), 13) == (13, False)
+        with pytest.raises(
+            BudgetExceeded, match="14 seeds of rank 3 would hold 126 c-vector entries, above the limit of 125"
+        ):
+            enumerate_seeds(polygon_seed(6), 100)
+
 
 class TestAgainstLaurentOracle:
     @pytest.mark.parametrize("vertices", [4, 5, 6, 7, 8])
@@ -574,6 +586,18 @@ class TestMutationTree:
         assert mutation_tree(polygon_seed(6), 1).level_sizes == (1, 3)
         with pytest.raises(BudgetExceeded, match="tree level 2 could write 108 entries, above the limit of 107"):
             mutation_tree(polygon_seed(6), 2)
+
+    def test_each_level_is_written_once(self):
+        # the edge rows are the bulk of what the tree keeps; a second copy of
+        # them at any moment would double the peak
+        tracemalloc.start()
+        try:
+            diagram = mutation_tree(polygon_seed(9), 6)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diagram.level_sizes == (1, 6, 21, 64, 185, 505, 1279)
+        assert peak < 1.5 * held
 
 
 def test_seed_json():

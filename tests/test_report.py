@@ -1,12 +1,15 @@
 import json
+import random
 
 import pytest
 
-from knotfield.braid import BraidWord
+from knotfield.braid import BraidWord, closure_components
 from knotfield.cli import run
 from knotfield.errors import NonHyperbolic
+from knotfield.invariant import monodromy
 from knotfield.numfield import ideals_of_norm, make_field
 from knotfield.report import correspondence_report
+from knotfield.smith import smith_invariants
 
 
 def test_unknot_closure_rows():
@@ -102,3 +105,64 @@ def test_three_component_link_output():
         '{"index": 5, "normal_subgroups": 31, "ideals_of_norm": 0}, '
         '{"index": 6, "normal_subgroups": 94, "ideals_of_norm": 0}]}\n'
     )
+
+
+# -- double branched cover oracle -------------------------------------------------
+
+
+def predicted_rows(word):
+    """Rows of the report predicted from the monodromy M, for a closed 3-braid.
+
+    A quotient of prime order p is cyclic, so it is a quotient of H1 = Z^mu:
+    row p reads (p^mu - 1)/(p - 1).  For a knot, the normal subgroups of
+    index 6 are the kernels onto Z/6 (one) and onto D_3, whose surjections
+    are the nontrivial Fox 3-colourings, 3^(r+1) - 3 of them, up to
+    |Aut(D_3)| = 6: row 6 reads 1 + (3^r - 1)/2, with r the 3-rank of
+    H1 of the double branched cover (Przytycki, 3-coloring and other
+    elementary invariants of knots, 1998).  That cover is an open book
+    with a once-holed torus page and monodromy M (Birman and Hilden, 1973),
+    so its H1 is coker(M - I).
+    """
+    mu = closure_components(word)
+    if mu > 1:
+        return {p: (p**mu - 1) // (p - 1) for p in (2, 3, 5)}
+    (a, b), (c, d) = monodromy(word).entries
+    r = sum(1 for v in smith_invariants([[a - 1, b], [c, d - 1]]) if v % 3 == 0)
+    return {3: 1, 5: 1, 6: 1 + (3**r - 1) // 2}
+
+
+def seeded_braids(seed, count):
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        word = BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(2, 6))))
+        if monodromy(word).is_hyperbolic():
+            words.append(word)
+    return words
+
+
+def test_double_branched_cover_predicts_rows_on_seeded_braids():
+    words = seeded_braids(22, 60)
+    kinds = set()
+    for word in words:
+        rows = {r.index: r.normal_subgroups for r in correspondence_report(word, 6).rows}
+        expected = predicted_rows(word)
+        assert {m: rows[m] for m in expected} == expected, word
+        kinds.add((closure_components(word), expected.get(6)))
+    # knots with r = 0, 1 and 2, and links of two and three components
+    assert kinds == {(1, 1), (1, 2), (1, 5), (2, None), (3, None)}
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1 1 1 -2 -2 -2", {3: 1, 5: 1, 6: 5}),  # s1^3 s2^-3: M = I mod 3, r = 2
+        ("1 1 -2 -2", {2: 7, 3: 13, 5: 31}),  # three components
+        ("-1 2 -1 2 2", {2: 3, 3: 4, 5: 6}),  # two components
+    ],
+)
+def test_double_branched_cover_fixed_cases(text, expected):
+    word = BraidWord(3, tuple(int(v) for v in text.split()))
+    assert predicted_rows(word) == expected
+    rows = {r.index: r.normal_subgroups for r in correspondence_report(word, 6).rows}
+    assert {m: rows[m] for m in expected} == expected

@@ -428,7 +428,8 @@ class TestGuards:
     def test_budget_exceeded(self, monkeypatch):
         monkeypatch.setattr(subgroups, "NODE_BUDGET", 5)
         with pytest.raises(
-            BudgetExceeded, match="node budget of 5 definitions exhausted at max_index 4"
+            BudgetExceeded,
+            match="node budget of 5 definitions exhausted at max_index 4, with the search at index 2$",
         ):
             low_index_subgroups(FREE_2, 4)
 
