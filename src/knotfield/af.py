@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import BudgetExceeded, DeadVertex, FloatOverflow, NotPrimitive
 from .numfield import square_free_part
@@ -27,24 +28,22 @@ Matrix = tuple[tuple[int, ...], ...]
 _DIAGRAM_ENTRIES = 10**5
 
 
-def _as_matrix(rows) -> Matrix:
-    mat = tuple(tuple(int(v) for v in row) for row in rows)
-    size = len(mat)
-    if size == 0 or any(len(row) != size for row in mat):
-        raise ValueError("incidence matrix must be square and nonempty")
-    return mat
-
-
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Square matrix of nonnegative integer edge multiplicities."""
+    """Square matrix of nonnegative integer edge multiplicities.  Entries
+    must be integers: an integral value such as 2.0 or a numpy integer is
+    converted, and any other raises ValueError."""
 
     entries: Matrix
 
     def __post_init__(self):
-        mat = _as_matrix(self.entries)
+        mat = tuple(tuple(map(int, row)) for row in self.entries)
+        if mat != tuple(map(tuple, self.entries)):
+            raise ValueError("incidence entries must be integers")
+        if set(map(len, mat)) != {len(mat)}:  # also refuses the empty matrix
+            raise ValueError("incidence matrix must be square and nonempty")
         object.__setattr__(self, "entries", mat)
-        if any(v < 0 for row in mat for v in row):
+        if min(map(min, mat)) < 0:
             raise ValueError("incidence entries must be nonnegative")
 
     @property
@@ -55,10 +54,7 @@ class IncidenceMatrix:
         return (-1) ** self.size * char_poly(self)[0]
 
     def has_dead_vertex(self) -> bool:
-        size = self.size
-        dead_row = any(all(v == 0 for v in row) for row in self.entries)
-        dead_col = any(all(self.entries[i][j] == 0 for i in range(size)) for j in range(size))
-        return dead_row or dead_col
+        return not all(map(any, self.entries)) or not all(map(any, zip(*self.entries)))
 
     def is_primitive(self) -> bool:
         """Strongly connected with period 1 (Denardo 1977): searches from
@@ -295,11 +291,9 @@ class BratteliDiagram:
         if len(self.level_sizes) != len(self.edge_matrices) + 1:
             raise ValueError("need exactly one edge matrix per consecutive level pair")
         for level, mat in enumerate(self.edge_matrices):
-            if len(mat) != self.level_sizes[level] or any(
-                len(row) != self.level_sizes[level + 1] for row in mat
-            ):
+            if len(mat) != self.level_sizes[level] or not set(map(len, mat)) <= {self.level_sizes[level + 1]}:
                 raise ValueError(f"edge matrix {level} has the wrong shape")
-            if any(v < 0 for row in mat for v in row):
+            if min(chain.from_iterable(mat), default=0) < 0:
                 raise ValueError("edge multiplicities must be nonnegative")
 
 

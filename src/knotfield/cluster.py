@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import neg
 
 from .af import BratteliDiagram
 from .errors import BudgetExceeded, DirectionOutOfRange, TooSmall, UnsupportedSurface
@@ -50,9 +51,13 @@ MAX_POLYGON_VERTICES = 100
 # entries one mutation-tree level may write: a C block of rank^2 per child
 # and an edge-matrix row of at most (level size * rank) per seed, so
 # level size * rank * (rank^2 + level size); polygon 11 at depth 6 needs
-# 16,788,616 at its last level; also the c-vector entries that seed
-# enumeration may hold, rank^2 per seed
+# 16,788,616 at its last level; also the entries that seed enumeration may
+# hold, rank^2 + _SEED_OVERHEAD per seed
 MAX_TREE_ENTRIES = 20_000_000
+# entries charged to each enumerated seed beside its rank^2 c-vector entries:
+# at rank 3 a seed costs about 0.85 KiB (its sorted key, a set slot and its
+# frontier rows), about 109 eight-byte words
+_SEED_OVERHEAD = 100
 
 _TORUS_WITH_CUSP = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
 # (x1^2 + x2^2 + x3^2) / (x1 x2 x3), the same in every seed of the torus
@@ -61,20 +66,21 @@ _MARKOV = LaurentFraction(Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Skew-symmetric integer matrix driving the exchange relations."""
+    """Skew-symmetric integer matrix driving the exchange relations.  Entries
+    must be integers: an integral value such as 2.0 or a numpy integer is
+    converted, and any other raises ValueError."""
 
     rows: MatrixRows
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        if rows != tuple(map(tuple, self.rows)):
+            raise ValueError("exchange matrix entries must be integers")
         object.__setattr__(self, "rows", rows)
-        size = len(rows)
-        if any(len(row) != size for row in rows):
+        if not set(map(len, rows)) <= {len(rows)}:
             raise ValueError("exchange matrix must be square")
-        for i in range(size):
-            for j in range(size):
-                if rows[i][j] != -rows[j][i]:
-                    raise ValueError("exchange matrix must be skew-symmetric")
+        if rows != tuple(tuple(map(neg, col)) for col in zip(*rows)):
+            raise ValueError("exchange matrix must be skew-symmetric")
 
     @property
     def size(self) -> int:
@@ -206,8 +212,9 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
 
     Returns (count, finite).  If the closure has not completed once
     ``max_seeds`` distinct seeds are known, reports (max_seeds, False).
-    Each seed's key holds rank^2 entries, so adding a seed that would make
-    the keys held pass MAX_TREE_ENTRIES raises BudgetExceeded instead.
+    Each seed counts as rank^2 + _SEED_OVERHEAD entries (its key and the
+    storage around it), so adding a seed that would make the seeds held
+    count past MAX_TREE_ENTRIES raises BudgetExceeded instead.
 
     Runs on the extended exchange matrix [B; C] from ``seed.matrix``
     (Fomin and Zelevinsky, Cluster algebras IV, 2007) and keys a seed by
@@ -224,7 +231,8 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
     if max_seeds < 1:
         raise ValueError("max_seeds must be at least 1")
     n = seed.rank
-    cap = MAX_TREE_ENTRIES // (n * n)  # seeds whose keys fit the entry limit
+    per_seed = n * n + _SEED_OVERHEAD
+    cap = MAX_TREE_ENTRIES // per_seed  # seeds that fit the entry limit
     start = _extended_start(seed)
     seen = {tuple(sorted(zip(*start[n:])))}
     frontier = [start]
@@ -240,8 +248,8 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
                     return max_seeds, False
                 if len(seen) >= cap:
                     raise BudgetExceeded(
-                        f"{len(seen) + 1} seeds of rank {n} would hold {(len(seen) + 1) * n * n} "
-                        f"c-vector entries, above the limit of {MAX_TREE_ENTRIES}"
+                        f"{len(seen) + 1} seeds of rank {n} would count {(len(seen) + 1) * per_seed} "
+                        f"entries ({n * n} + {_SEED_OVERHEAD} each), above the limit of {MAX_TREE_ENTRIES}"
                     )
                 seen.add(form)
                 next_frontier.append(neighbour)
@@ -260,15 +268,8 @@ def polygon_seed(vertex_count: int) -> Seed:
             f"a polygon seed of {vertex_count} vertices exceeds the limit of {MAX_POLYGON_VERTICES}"
         )
     n = vertex_count - 3
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        if i + 1 < n:
-            row[i + 1] = 1
-        if i - 1 >= 0:
-            row[i - 1] = -1
-        rows.append(tuple(row))
-    return initial_seed(ExchangeMatrix(tuple(rows)))
+    rows = tuple(tuple((j == i + 1) - (j == i - 1) for j in range(n)) for i in range(n))
+    return initial_seed(ExchangeMatrix(rows))
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,8 @@ class IndexOutOfRange(DomainError):
 
 
 class BudgetExceeded(DomainError):
-    """A request ran past a size or work limit: the subgroup search's node
-    budget, the mutation-tree depth guard, the Bratteli diagram's entry
-    limit, the letter limit of a braid word or of Artin's relators, or the
-    term limit of an exchange operand in Laurent mutation.  The message
-    names the request and the limit."""
+    """A request ran past a size or work limit.  The message names the
+    request and the limit."""
 
 
 # cluster algebra -----------------------------------------------------------

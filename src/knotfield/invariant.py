@@ -35,7 +35,9 @@ class MonodromyMatrix:
     entries: tuple[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
+        rows = tuple(tuple(map(int, row)) for row in self.entries)
+        if rows != tuple(map(tuple, self.entries)):
+            raise ValueError("monodromy matrix entries must be integers")
         object.__setattr__(self, "entries", rows)
         (a, b), (c, d) = rows
         if a * d - b * c != 1:

@@ -3,8 +3,11 @@
 For a braid that carries a field invariant, list for each index m up to a
 bound how many normal subgroups of index m the closure's fundamental group
 has, next to how many ideals of norm m the field's ring of integers has.
-The two columns are reported together and nothing is asserted about their
-relation.
+The two columns are computed independently.  For a knot and an odd prime
+p they are related: the subgroup column exceeds 1 at index 2p exactly when
+p divides tr M - 2 (a dihedral quotient of order 2p), and since
+gcd(tr - 2, tr + 2) divides 4, the ideal column then reads 1 at p exactly
+when p divides tr - 2 to an odd power, that is, when p ramifies.
 
 The subgroup column counts the records of the normal-only low-index search
 (``low_index_subgroups(..., normal_only=True)``), which prunes every branch

@@ -126,6 +126,7 @@ class TestIncidenceMatrix:
     def test_dead_vertices(self):
         assert IncidenceMatrix(((1, 0), (1, 0))).has_dead_vertex()
         assert IncidenceMatrix(((0, 0), (1, 1))).has_dead_vertex()
+        assert IncidenceMatrix(((1, 1, 0), (1, 1, 0), (1, 1, 0))).has_dead_vertex()  # zero last column
         assert not IncidenceMatrix(((2, 1), (1, 1))).has_dead_vertex()
 
 
@@ -393,6 +394,11 @@ class TestStationaryDiagram:
         with pytest.raises(ValueError):
             BratteliDiagram((1, 1), ())
 
+    def test_empty_level_is_accepted(self):
+        # a level of size 0: two empty rows into it, no rows out of it
+        diagram = BratteliDiagram((2, 0, 1), (((), ()), ()))
+        assert diagram.level_sizes == (2, 0, 1)
+
 
 class TestDot:
     def test_stationary_labels(self):
@@ -418,17 +424,54 @@ class TestDot:
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        pytest.param(lambda: QuadraticSurd.make(1, 1, 0, 2), id="surd-radicand-zero"),
-        pytest.param(lambda: QuadraticSurd.make(1, 1, -5, 2), id="surd-radicand-negative"),
-        pytest.param(lambda: BratteliDiagram((1, 1), (((-1,),),)), id="bratteli-negative-multiplicity"),
-        pytest.param(lambda: stationary_diagram(IncidenceMatrix(((2, 1), (1, 1))), 0), id="diagram-no-levels"),
+        pytest.param(lambda: QuadraticSurd.make(1, 1, 0, 2), "radicand must be positive", id="surd-radicand-zero"),
+        pytest.param(lambda: QuadraticSurd.make(1, 1, -5, 2), "radicand must be positive", id="surd-radicand-negative"),
+        pytest.param(
+            lambda: BratteliDiagram((1, 1), (((-1,),),)),
+            "edge multiplicities must be nonnegative",
+            id="bratteli-negative-multiplicity",
+        ),
+        pytest.param(
+            lambda: BratteliDiagram((1, 2, 1), (((1, 1),), ((1,), ()))),
+            "edge matrix 1 has the wrong shape",
+            id="bratteli-short-row-at-level-1",
+        ),
+        pytest.param(
+            lambda: BratteliDiagram((1, 2, 1), (((1, 1),), ((1,), (-1,)))),
+            "edge multiplicities must be nonnegative",
+            id="bratteli-negative-multiplicity-at-level-1",
+        ),
+        pytest.param(
+            lambda: stationary_diagram(IncidenceMatrix(((2, 1), (1, 1))), 0),
+            "need at least one level",
+            id="diagram-no-levels",
+        ),
+        pytest.param(lambda: IncidenceMatrix(()), "must be square and nonempty", id="incidence-empty"),
+        pytest.param(lambda: IncidenceMatrix(((1, 1), (1,))), "must be square and nonempty", id="incidence-jagged"),
+        pytest.param(
+            lambda: IncidenceMatrix(((1, 1), (1, -1))), "incidence entries must be nonnegative", id="incidence-negative"
+        ),
+        # int() would truncate these to the all-ones matrix, whose Perron root is 2
+        pytest.param(
+            lambda: perron(IncidenceMatrix(((1.5, 1), (1, 1.9)))),
+            "incidence entries must be integers",
+            id="incidence-fractional",
+        ),
     ],
 )
-def test_input_checks(build):
-    with pytest.raises(ValueError):
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_integral_entries_are_converted():
+    expected = ((2, 1), (1, 1))
+    for entries in (np.array(expected, dtype=np.int64), ((2.0, True), (1, 1))):
+        matrix = IncidenceMatrix(entries)
+        assert matrix.entries == expected
+        assert {type(v) for row in matrix.entries for v in row} == {int}
 
 
 def test_surd_with_negative_div_is_normalized():

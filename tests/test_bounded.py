@@ -165,6 +165,10 @@ def test_correspondence_report_to_index_ten_is_bounded():
         pytest.param(
             ["cluster", "enumerate", "--polygon", "100", "--max", "10000"], 5, id="enumerate-polygon-100-max-10000"
         ),
+        # a torus seed costs about 0.85 KiB, so 10**6 of them would need about 0.8 GiB; refused at seed 183,487
+        pytest.param(
+            ["cluster", "enumerate", "--surface", "1", "1", "--max", "1000000"], 10, id="enumerate-torus-max-1000000"
+        ),
     ],
 )
 def test_large_cluster_seeds_are_refused_in_time(args, deadline):

@@ -16,6 +16,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -185,8 +186,18 @@ class TestMatrixMutation:
             mutate_matrix(ExchangeMatrix(A2_MATRIX), 0)
 
     def test_rejects_non_skew(self):
-        with pytest.raises(ValueError):
-            ExchangeMatrix(((0, 1), (1, 0)))
+        for rows in (
+            ((0, 1), (1, 0)),
+            ((0, 1, 0), (-1, 2, 1), (0, -1, 0)),  # a nonzero diagonal entry
+            ((0, 1, 0), (-1, 0, 1), (0, 1, 0)),  # an asymmetric pair below row 0
+        ):
+            with pytest.raises(ValueError, match="exchange matrix must be skew-symmetric"):
+                ExchangeMatrix(rows)
+
+    def test_integral_entries_are_converted(self):
+        matrix = ExchangeMatrix(np.array(A2_MATRIX, dtype=np.int64))
+        assert matrix.rows == A2_MATRIX
+        assert {type(v) for row in matrix.rows for v in row} == {int}
 
 
 # -- seed mutation ---------------------------------------------------------------
@@ -407,13 +418,14 @@ class TestEnumeration:
         assert enumerate_seeds(polygon_seed(5), 4) == (4, False)
 
     def test_entry_limit(self, monkeypatch):
-        # rank 3: the 14 seeds of the hexagon hold 14 * 9 = 126 c-vector entries
-        monkeypatch.setattr(cluster, "MAX_TREE_ENTRIES", 126)
+        # rank 3: the 14 seeds of the hexagon count 14 * (9 + 100) = 1526 entries
+        monkeypatch.setattr(cluster, "MAX_TREE_ENTRIES", 1526)
         assert enumerate_seeds(polygon_seed(6), 100) == (14, True)
-        monkeypatch.setattr(cluster, "MAX_TREE_ENTRIES", 125)
+        monkeypatch.setattr(cluster, "MAX_TREE_ENTRIES", 1525)
         assert enumerate_seeds(polygon_seed(6), 13) == (13, False)
         with pytest.raises(
-            BudgetExceeded, match="14 seeds of rank 3 would hold 126 c-vector entries, above the limit of 125"
+            BudgetExceeded,
+            match=r"14 seeds of rank 3 would count 1526 entries \(9 \+ 100 each\), above the limit of 1525",
         ):
             enumerate_seeds(polygon_seed(6), 100)
 
@@ -507,6 +519,15 @@ class TestPolygonAndSurfaceSeeds:
         assert polygon_seed(6).matrix == ExchangeMatrix(
             ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
         )
+
+    @pytest.mark.parametrize("vertices", range(4, 13))
+    def test_path_quiver(self, vertices):
+        n = vertices - 3
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            rows[i][i + 1] = 1
+            rows[i + 1][i] = -1
+        assert polygon_seed(vertices).matrix.rows == tuple(map(tuple, rows))
 
     def test_too_small(self):
         with pytest.raises(TooSmall):
@@ -611,13 +632,25 @@ def test_seed_json():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        pytest.param(lambda: ExchangeMatrix(((0, 1), (-1, 0), (0, 0))), id="non-square-matrix"),
-        pytest.param(lambda: Seed((), ExchangeMatrix(((0,),))), id="seed-length-mismatch"),
-        pytest.param(lambda: SurfaceSpec(-1, 3), id="negative-genus"),
+        pytest.param(
+            lambda: ExchangeMatrix(((0, 1), (-1, 0), (0, 0))), "exchange matrix must be square", id="non-square-matrix"
+        ),
+        # int() would truncate this to the zero matrix
+        pytest.param(
+            lambda: ExchangeMatrix(((0, 0.5), (-0.5, 0))),
+            "exchange matrix entries must be integers",
+            id="fractional-entries",
+        ),
+        pytest.param(
+            lambda: Seed((), ExchangeMatrix(((0,),))),
+            "variable count does not match matrix size",
+            id="seed-length-mismatch",
+        ),
+        pytest.param(lambda: SurfaceSpec(-1, 3), "genus and cusp count must be nonnegative", id="negative-genus"),
     ],
 )
-def test_input_checks(build):
-    with pytest.raises(ValueError):
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
         build()

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from knotfield.af import IncidenceMatrix, dimension_group
@@ -61,8 +62,16 @@ class TestMonodromy:
             monodromy(BraidWord(2, (1,)))
 
     def test_matrix_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not have determinant 1"):
             MonodromyMatrix(((1, 0), (0, 2)))
+        # int() would truncate 2.7 to 2, and ((2, 1), (1, 1)) has determinant 1
+        with pytest.raises(ValueError, match="monodromy matrix entries must be integers"):
+            MonodromyMatrix(((2.7, 1), (1, 1)))
+
+    def test_integral_entries_are_converted(self):
+        matrix = MonodromyMatrix(np.array(((2, 1), (1, 1)), dtype=np.int64))
+        assert matrix.entries == ((2, 1), (1, 1))
+        assert {type(v) for row in matrix.entries for v in row} == {int}
 
 
 class TestFieldOf:

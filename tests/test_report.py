@@ -131,12 +131,12 @@ def predicted_rows(word):
     return {3: 1, 5: 1, 6: 1 + (3**r - 1) // 2}
 
 
-def seeded_braids(seed, count):
+def seeded_braids(seed, count, longest=6, knots_only=False):
     rng = random.Random(seed)
     words = []
     while len(words) < count:
-        word = BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(2, 6))))
-        if monodromy(word).is_hyperbolic():
+        word = BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(2, longest))))
+        if monodromy(word).is_hyperbolic() and (not knots_only or closure_components(word) == 1):
             words.append(word)
     return words
 
@@ -166,3 +166,55 @@ def test_double_branched_cover_fixed_cases(text, expected):
     assert predicted_rows(word) == expected
     rows = {r.index: r.normal_subgroups for r in correspondence_report(word, 6).rows}
     assert {m: rows[m] for m in expected} == expected
+
+
+# -- ramification oracle ----------------------------------------------------------
+
+
+def valuation(p, n):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def ramification_seen(rows, p):
+    """Row 2p exceeds 1 and one ideal has norm p: for a knot and an odd prime
+    p, the first holds exactly when p divides tr M - 2 (see predicted_rows),
+    and then p divides tr^2 - 4 to the power v_p(tr - 2), since
+    gcd(tr - 2, tr + 2) divides 4, so p ramifies exactly when that is odd."""
+    return rows[2 * p - 1].normal_subgroups > 1 and rows[p - 1].ideals_of_norm == 1
+
+
+def test_ramification_on_seeded_knots():
+    odd = even = 0
+    for word in seeded_braids(22, 80, longest=7, knots_only=True):
+        v = valuation(3, monodromy(word).trace - 2)
+        assert ramification_seen(correspondence_report(word, 6).rows, 3) == (v % 2 == 1), word
+        odd += v % 2
+        even += v > 0 and v % 2 == 0
+    # 3 ramifies in 17 of the fields; in 2 more, 3 divides tr - 2 to an even power
+    assert (odd, even) == (17, 2)
+
+
+@pytest.mark.parametrize(
+    "p, q, max_index, subgroups, ideals",
+    [
+        (1, 3, 6, {6: 2}, {3: 1}),
+        (3, 3, 6, {6: 5}, {3: 2}),  # dihedral quotients without ramification
+        (3, 9, 6, {6: 5}, {3: 1}),
+        (1, 5, 10, {10: 2}, {5: 1}),
+        (1, 25, 10, {10: 2}, {5: 2}),
+        (1, 15, 10, {6: 2, 10: 2}, {3: 1, 5: 1}),
+    ],
+)
+def test_ramification_fixed_cases(p, q, max_index, subgroups, ideals):
+    # s1^p s2^-q has tr - 2 = pq
+    word = BraidWord(3, (1,) * p + (-2,) * q)
+    assert monodromy(word).trace - 2 == p * q
+    rows = correspondence_report(word, max_index).rows
+    assert {m: rows[m - 1].normal_subgroups for m in subgroups} == subgroups
+    assert {m: rows[m - 1].ideals_of_norm for m in ideals} == ideals
+    for ell in ideals:
+        assert ramification_seen(rows, ell) == (valuation(ell, p * q) % 2 == 1)
