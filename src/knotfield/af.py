@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .errors import BudgetExceeded, DeadVertex, FloatOverflow, NotPrimitive
+from .errors import BudgetExceeded, DeadVertex, FloatOverflow, NotPrimitive, integer_rows
 from .numfield import square_free_part
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -37,9 +37,7 @@ class IncidenceMatrix:
     entries: Matrix
 
     def __post_init__(self):
-        mat = tuple(tuple(map(int, row)) for row in self.entries)
-        if mat != tuple(map(tuple, self.entries)):
-            raise ValueError("incidence entries must be integers")
+        mat = integer_rows(self.entries, "incidence")
         if set(map(len, mat)) != {len(mat)}:  # also refuses the empty matrix
             raise ValueError("incidence matrix must be square and nonempty")
         object.__setattr__(self, "entries", mat)

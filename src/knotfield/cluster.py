@@ -38,7 +38,7 @@ from functools import lru_cache
 from operator import neg
 
 from .af import BratteliDiagram
-from .errors import BudgetExceeded, DirectionOutOfRange, TooSmall, UnsupportedSurface
+from .errors import BudgetExceeded, DirectionOutOfRange, TooSmall, UnsupportedSurface, integer_rows
 from .laurent import LaurentFraction, Polynomial
 
 MatrixRows = tuple[tuple[int, ...], ...]
@@ -73,9 +73,7 @@ class ExchangeMatrix:
     rows: MatrixRows
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
-        if rows != tuple(map(tuple, self.rows)):
-            raise ValueError("exchange matrix entries must be integers")
+        rows = integer_rows(self.rows, "exchange matrix")
         object.__setattr__(self, "rows", rows)
         if not set(map(len, rows)) <= {len(rows)}:
             raise ValueError("exchange matrix must be square")

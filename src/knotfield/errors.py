@@ -3,8 +3,22 @@
 Everything that represents a *domain* failure (bad mathematical input,
 budget blown, degenerate object) derives from :class:`DomainError` so the
 command line layer can map it uniformly to exit code 2.  Plain usage bugs
-(wrong types, out-of-contract arguments) stay ordinary ``ValueError``s.
+(wrong types, out-of-contract arguments) stay ordinary ``ValueError``s;
+``integer_rows`` raises the one shared by the integer matrix types.
 """
+
+
+def integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as tuples of ints.  An integral value such as 2.0 or a numpy
+    integer is converted; any other entry, including one that ``int()``
+    refuses (inf, nan, None), raises ValueError naming the matrix."""
+    try:
+        converted = tuple(tuple(map(int, row)) for row in rows)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None or converted != tuple(map(tuple, rows)):
+        raise ValueError(f"{name} entries must be integers")
+    return converted
 
 
 class DomainError(Exception):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord, check_length, closure_components
-from .errors import NonHyperbolic, WrongStrandCount
+from .errors import NonHyperbolic, WrongStrandCount, integer_rows
 from .numfield import QuadraticField, make_field
 
 _GEN = ((1, 1), (0, 1))
@@ -35,9 +35,7 @@ class MonodromyMatrix:
     entries: tuple[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.entries)
-        if rows != tuple(map(tuple, self.entries)):
-            raise ValueError("monodromy matrix entries must be integers")
+        rows = integer_rows(self.entries, "monodromy matrix")
         object.__setattr__(self, "entries", rows)
         (a, b), (c, d) = rows
         if a * d - b * c != 1:

@@ -37,14 +37,6 @@ ever completed.  A subgroup is normal exactly when it equals all of its
 conjugates, that is, when every base renumbers the completed table to
 itself.
 
-A normal-only search (``normal_only=True``) prunes on a larger
-renumbering too.  The defined prefix fixes the comparison from a base in
-every completion, so a base that renumbers larger at a defined entry
-gives a conjugate that differs from every completed subgroup, and none of
-them is normal.  A normal table compares equal from every base at every
-node on its path, so the search still completes it, and the records are
-exactly the normal ones of the full search.
-
 Branch columns.  The search defines, compares and records only the
 first 2 * ``branch_generators`` columns of a presentation (all of them by
 default).  The later generators must be fixed by the relators once the
@@ -84,15 +76,9 @@ class SubgroupRecord:
     is_normal: bool
 
 
-def low_index_subgroups(
-    presentation: GroupPresentation,
-    max_index: int,
-    *,
-    normal_only: bool = False,
-) -> list[SubgroupRecord]:
-    """All subgroups of index <= max_index up to conjugacy, or only the
-    normal ones when ``normal_only`` is set, sorted by index and then by
-    table."""
+def low_index_subgroups(presentation: GroupPresentation, max_index: int) -> list[SubgroupRecord]:
+    """All subgroups of index <= max_index up to conjugacy, sorted by index
+    and then by table."""
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
     if max_index > INDEX_CAP:
@@ -112,7 +98,7 @@ def low_index_subgroups(
     records: list[SubgroupRecord] = []
     budget = [NODE_BUDGET, NODE_BUDGET]  # remaining, total
     table: list[list[int | None]] = [[None] * ncols]
-    _search(table, width, rotations, max_index, budget, normal_only, records)
+    _search(table, width, rotations, max_index, budget, records)
     records.sort(key=lambda r: (r.index, r.coset_table))
     return records
 
@@ -122,8 +108,8 @@ def _word_to_cols(letters: list[int]) -> tuple[int, ...]:
     return tuple(2 * (abs(k) - 1) + (0 if k > 0 else 1) for k in letters)
 
 
-def _search(table, width, rotations, max_index, budget, normal_only, out):
-    normal = _minimal(table, width, normal_only)
+def _search(table, width, rotations, max_index, budget, out):
+    normal = _minimal(table, width)
     if normal is None:
         return
     slot = _first_undefined(table, width)
@@ -149,7 +135,7 @@ def _search(table, width, rotations, max_index, budget, normal_only, out):
             table.append([None] * len(table[0]))
         _define(table, alpha, col, beta, trail)
         if _close_under_relators(table, rotations, trail):
-            _search(table, width, rotations, max_index, budget, normal_only, out)
+            _search(table, width, rotations, max_index, budget, out)
         for a, c in reversed(trail):
             table[a][c] = None
         if new_row:
@@ -212,10 +198,9 @@ def _scan(table, start, word, trail) -> bool:
     return True
 
 
-def _minimal(table, width, normal_only):
+def _minimal(table, width):
     """Sims' minimality test on a partial table.  None when renumbering from
-    some base coset gives a smaller table, so no completion is canonical, or
-    with ``normal_only`` any different table, so no completion is normal;
+    some base coset gives a smaller table, so no completion is canonical;
     otherwise whether every base renumbered the defined entries to
     themselves, which on a complete table means the subgroup is normal.
     Only the branch columns are compared."""
@@ -224,7 +209,7 @@ def _minimal(table, width, normal_only):
     normal = True
     for base in range(1, len(table)):
         sign = _compare_renumbered(table, base)
-        if sign < 0 or (sign and normal_only):
+        if sign < 0:
             return None
         if sign > 0:
             normal = False

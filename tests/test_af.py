@@ -459,6 +459,14 @@ class TestDot:
             "incidence entries must be integers",
             id="incidence-fractional",
         ),
+        # int() raises its own errors on these
+        pytest.param(
+            lambda: IncidenceMatrix(((float("inf"), 1), (1, 1))), "incidence entries must be integers", id="incidence-inf"
+        ),
+        pytest.param(
+            lambda: IncidenceMatrix(((float("nan"), 1), (1, 1))), "incidence entries must be integers", id="incidence-nan"
+        ),
+        pytest.param(lambda: IncidenceMatrix(((None, 1), (1, 1))), "incidence entries must be integers", id="incidence-none"),
     ],
 )
 def test_input_checks(build, message):

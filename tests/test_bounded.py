@@ -6,6 +6,7 @@ A subprocess is killed at its deadline, so a hang fails the test instead
 of stalling the suite.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -76,8 +77,9 @@ def test_bratteli_levels_are_refused_in_time():
 @pytest.mark.parametrize(
     "braid",
     [
-        # the full conjugacy-class search took about 20 s and 11 s on these
-        # (CPython 3.11, 2 vCPUs); the normal-only search about 0.5 s
+        # a coset search over all conjugacy classes took about 20 s and 11 s on
+        # these; the count of braid-fixed epimorphisms answers in about 0.12 s,
+        # most of it interpreter start (CPython 3.11, 2 vCPUs)
         pytest.param("-1 2 -1 2 2", id="report-five-letters"),
         pytest.param("1 -2 1 -2 1 -2", id="report-borromean-rings"),
     ],
@@ -149,9 +151,32 @@ def test_subgroups_node_budget_is_reached_in_time():
 
 
 def test_correspondence_report_to_index_ten_is_bounded():
-    # 93.5 s on Artin's relators (CPython 3.11, 2 vCPUs); about 2 s on the arc presentation
+    # a normal-only coset search took 93.5 s on Artin's relators and about 2 s
+    # on the arc presentation; the count answers in about 0.12 s (CPython 3.11, 2 vCPUs)
     done = _run(["report", "correspondence", "--braid", "-1 2 -1 2 2", "--max-index", "10"], deadline=30)
     assert done.returncode == 0, done.stderr
+
+
+def test_correspondence_report_past_the_coset_search_is_bounded():
+    # s1^5 s2^-5: the normal-only coset search ran out of its node budget
+    # after 27 s, and needed 88 s without it (CPython 3.11, 2 vCPUs); row 10
+    # is 1 + (5^2 - 1)/4, as M = I mod 5
+    argv = ["--json", "report", "correspondence", "--braid", "1 1 1 1 1 -2 -2 -2 -2 -2", "--max-index", "10"]
+    done = _run(argv, deadline=5)
+    assert done.returncode == 0, done.stderr
+    assert [row["normal_subgroups"] for row in json.loads(done.stdout)["rows"]] == [1, 1, 1, 1, 1, 1, 1, 1, 1, 7]
+
+
+def test_correspondence_report_budget_is_reached_in_time():
+    # (s1 s2)^6 has monodromy I, so the field stays Q(sqrt(5)) while the
+    # 1442 letters at index <= 10 take 7082 * 1443 tuple steps
+    braid = " ".join(["1 -2"] + ["1 2"] * 720)
+    done = _run(["report", "correspondence", "--braid", braid, "--max-index", "10"], deadline=2)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        "BudgetExceeded: normal-subgroup count of 10219326 tuple steps at max_index 10 exceeds the limit of 10000000\n"
+    )
 
 
 @pytest.mark.parametrize(

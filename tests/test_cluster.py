@@ -643,6 +643,20 @@ def test_seed_json():
             "exchange matrix entries must be integers",
             id="fractional-entries",
         ),
+        # int() raises its own errors on these
+        pytest.param(
+            lambda: ExchangeMatrix(((0, float("inf")), (float("-inf"), 0))),
+            "exchange matrix entries must be integers",
+            id="infinite-entries",
+        ),
+        pytest.param(
+            lambda: ExchangeMatrix(((0, float("nan")), (float("nan"), 0))),
+            "exchange matrix entries must be integers",
+            id="nan-entries",
+        ),
+        pytest.param(
+            lambda: ExchangeMatrix(((0, None), (None, 0))), "exchange matrix entries must be integers", id="none-entries"
+        ),
         pytest.param(
             lambda: Seed((), ExchangeMatrix(((0,),))),
             "variable count does not match matrix size",

@@ -68,6 +68,11 @@ class TestMonodromy:
         with pytest.raises(ValueError, match="monodromy matrix entries must be integers"):
             MonodromyMatrix(((2.7, 1), (1, 1)))
 
+    @pytest.mark.parametrize("entry", [float("inf"), float("nan"), None], ids=["inf", "nan", "none"])
+    def test_entries_that_int_refuses(self, entry):
+        with pytest.raises(ValueError, match="monodromy matrix entries must be integers"):
+            MonodromyMatrix(((entry, 1), (1, 1)))
+
     def test_integral_entries_are_converted(self):
         matrix = MonodromyMatrix(np.array(((2, 1), (1, 1)), dtype=np.int64))
         assert matrix.entries == ((2, 1), (1, 1))

@@ -1,14 +1,20 @@
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from knotfield import report
 from knotfield.braid import BraidWord, closure_components
 from knotfield.cli import run
 from knotfield.errors import NonHyperbolic
 from knotfield.invariant import monodromy
 from knotfield.numfield import ideals_of_norm, make_field
-from knotfield.report import correspondence_report
+from knotfield.report import SMALL_GROUPS, _cayley, correspondence_report, normal_subgroup_counts
 from knotfield.smith import smith_invariants
 
 
@@ -107,6 +113,113 @@ def test_three_component_link_output():
     )
 
 
+@pytest.mark.parametrize(
+    "text, normal",
+    [
+        # the coset search ran out of its node budget on both; without the
+        # budget it took 88 s and 18 s (CPython 3.11, 2 vCPUs)
+        ("1 1 1 1 1 -2 -2 -2 -2 -2", [1, 1, 1, 1, 1, 1, 1, 1, 1, 7]),
+        ("-1 2 -1 -1 -1 -2 -1 -1", [1, 1, 1, 1, 1, 5, 1, 1, 1, 1]),
+    ],
+)
+def test_rows_past_the_coset_search(text, normal):
+    report_rows = correspondence_report(BraidWord(3, tuple(int(v) for v in text.split())), 10).rows
+    assert [r.normal_subgroups for r in report_rows] == normal
+
+
+# -- the groups of order <= 10 ----------------------------------------------------
+
+
+def closure(mul, order, gens):
+    seen = [0]
+    for x in seen:
+        seen.extend(y for y in (mul[x * order + g] for g in gens) if y not in seen)
+    return set(seen)
+
+
+def element_orders(k):
+    mul, inv = _cayley(k)
+    order = len(inv)
+    return sorted(len(closure(mul, order, [a])) for a in range(order))
+
+
+def brute_force_automorphisms(k):
+    """Images of a least generating set that extend along every edge of
+    the Cayley graph, f(x g) = f(x) f(g), to a bijection."""
+    mul, inv = _cayley(k)
+    order = len(inv)
+    gens = next(
+        c
+        for size in range(order + 1)
+        for c in itertools.combinations(range(order), size)
+        if len(closure(mul, order, c)) == order
+    )
+    count = 0
+    for images in itertools.product(range(order), repeat=len(gens)):
+        f = {0: 0}
+        todo = [0]
+        consistent = True
+        for x in todo:
+            for g, h in zip(gens, images):
+                y, z = mul[x * order + g], mul[f[x] * order + h]
+                if y not in f:
+                    f[y] = z
+                    todo.append(y)
+                consistent = consistent and f[y] == z
+        count += consistent and len(set(f.values())) == order
+    return count
+
+
+def test_group_count_per_order():
+    # OEIS A000001
+    assert [sum(1 for g in SMALL_GROUPS if g[1] == m) for m in range(1, 11)] == [1, 1, 1, 2, 1, 2, 1, 5, 2, 2]
+
+
+@pytest.mark.parametrize("k", range(len(SMALL_GROUPS)), ids=[g[0] for g in SMALL_GROUPS])
+def test_cayley_table_is_a_group(k):
+    mul, inv = _cayley(k)
+    order = SMALL_GROUPS[k][1]
+    elements = range(order)
+    assert len(mul) == order * order and set(mul) == set(elements)
+    for a in elements:
+        assert mul[a * order] == mul[a] == a
+        assert mul[a * order + inv[a]] == mul[inv[a] * order + a] == 0
+    for a, b, c in itertools.product(elements, repeat=3):
+        assert mul[mul[a * order + b] * order + c] == mul[a * order + mul[b * order + c]]
+
+
+def test_groups_are_pairwise_non_isomorphic():
+    profiles = {(g[1], tuple(element_orders(k))) for k, g in enumerate(SMALL_GROUPS)}
+    assert len(profiles) == len(SMALL_GROUPS)
+
+
+@pytest.mark.parametrize("k", range(len(SMALL_GROUPS)), ids=[g[0] for g in SMALL_GROUPS])
+def test_automorphism_count(k):
+    assert brute_force_automorphisms(k) == SMALL_GROUPS[k][2]
+
+
+def test_tables_are_built_on_first_use():
+    code = (
+        "import knotfield.cli, knotfield.report as r; from knotfield.braid import BraidWord; "
+        "print(r._cayley.cache_info().currsize); r.normal_subgroup_counts(BraidWord(3, (1, -2)), 4); "
+        "print(r._cayley.cache_info().currsize)"
+    )
+    src = str(Path(report.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    # nothing at import; then C1, C2, C3, C4 and C2 x C2
+    assert done.stdout.split() == ["0", "5"]
+
+
+def test_remainder_is_an_internal_error(monkeypatch):
+    # the unknot's group Z has two epimorphisms onto C3, not a multiple of 4
+    groups = list(SMALL_GROUPS)
+    groups[2] = ("C3", 3, 4, ("(0 1 2)",))
+    monkeypatch.setattr(report, "SMALL_GROUPS", tuple(groups))
+    with pytest.raises(RuntimeError, match="epimorphisms onto C3 are not a multiple of"):
+        normal_subgroup_counts(BraidWord(3, (1, -2)), 3)
+
+
 # -- double branched cover oracle -------------------------------------------------
 
 
@@ -114,21 +227,24 @@ def predicted_rows(word):
     """Rows of the report predicted from the monodromy M, for a closed 3-braid.
 
     A quotient of prime order p is cyclic, so it is a quotient of H1 = Z^mu:
-    row p reads (p^mu - 1)/(p - 1).  For a knot, the normal subgroups of
-    index 6 are the kernels onto Z/6 (one) and onto D_3, whose surjections
-    are the nontrivial Fox 3-colourings, 3^(r+1) - 3 of them, up to
-    |Aut(D_3)| = 6: row 6 reads 1 + (3^r - 1)/2, with r the 3-rank of
-    H1 of the double branched cover (Przytycki, 3-coloring and other
-    elementary invariants of knots, 1998).  That cover is an open book
-    with a once-holed torus page and monodromy M (Birman and Hilden, 1973),
-    so its H1 is coker(M - I).
+    row p reads (p^mu - 1)/(p - 1).  For a knot and an odd prime p, the
+    normal subgroups of index 2p are the kernels onto Z/2p (one) and onto
+    D_p, whose surjections are the nontrivial Fox p-colourings, p^(r+1) - p
+    of them, up to |Aut(D_p)| = p(p - 1): row 2p reads
+    1 + (p^r - 1)/(p - 1), with r the p-rank of H1 of the double branched
+    cover (Przytycki, 3-coloring and other elementary invariants of knots,
+    1998).  That cover is an open book with a once-holed torus page and
+    monodromy M (Birman and Hilden, 1973), so its H1 is coker(M - I).
     """
     mu = closure_components(word)
-    if mu > 1:
-        return {p: (p**mu - 1) // (p - 1) for p in (2, 3, 5)}
-    (a, b), (c, d) = monodromy(word).entries
-    r = sum(1 for v in smith_invariants([[a - 1, b], [c, d - 1]]) if v % 3 == 0)
-    return {3: 1, 5: 1, 6: 1 + (3**r - 1) // 2}
+    rows = {p: (p**mu - 1) // (p - 1) for p in (2, 3, 5, 7)}
+    if mu == 1:
+        (a, b), (c, d) = monodromy(word).entries
+        invariants = smith_invariants([[a - 1, b], [c, d - 1]])
+        for p in (3, 5):
+            r = sum(1 for v in invariants if v % p == 0)
+            rows[2 * p] = 1 + (p**r - 1) // (p - 1)
+    return rows
 
 
 def seeded_braids(seed, count, longest=6, knots_only=False):
@@ -145,26 +261,29 @@ def test_double_branched_cover_predicts_rows_on_seeded_braids():
     words = seeded_braids(22, 60)
     kinds = set()
     for word in words:
-        rows = {r.index: r.normal_subgroups for r in correspondence_report(word, 6).rows}
+        rows = {r.index: r.normal_subgroups for r in correspondence_report(word, 10).rows}
         expected = predicted_rows(word)
         assert {m: rows[m] for m in expected} == expected, word
-        kinds.add((closure_components(word), expected.get(6)))
-    # knots with r = 0, 1 and 2, and links of two and three components
-    assert kinds == {(1, 1), (1, 2), (1, 5), (2, None), (3, None)}
+        kinds.add((closure_components(word), expected.get(6), expected.get(10)))
+    # knots with 3-rank 0, 1 and 2 and 5-rank 0 and 1, and links of two and three components
+    assert kinds == {(1, 1, 1), (1, 2, 1), (1, 5, 1), (1, 1, 2), (2, None, None), (3, None, None)}
 
 
 @pytest.mark.parametrize(
     "text, expected",
     [
-        ("1 1 1 -2 -2 -2", {3: 1, 5: 1, 6: 5}),  # s1^3 s2^-3: M = I mod 3, r = 2
-        ("1 1 -2 -2", {2: 7, 3: 13, 5: 31}),  # three components
-        ("-1 2 -1 2 2", {2: 3, 3: 4, 5: 6}),  # two components
+        # s1^3 s2^-3: M = I mod 3, r = 2 at p = 3
+        ("1 1 1 -2 -2 -2", {2: 1, 3: 1, 5: 1, 7: 1, 6: 5, 10: 1}),
+        ("1 1 -2 -2", {2: 7, 3: 13, 5: 31, 7: 57}),  # three components
+        ("-1 2 -1 2 2", {2: 3, 3: 4, 5: 6, 7: 8}),  # two components
+        # s1^5 s2^-5: M = I mod 5, r = 2 at p = 5
+        ("1 1 1 1 1 -2 -2 -2 -2 -2", {2: 1, 3: 1, 5: 1, 7: 1, 6: 1, 10: 7}),
     ],
 )
 def test_double_branched_cover_fixed_cases(text, expected):
     word = BraidWord(3, tuple(int(v) for v in text.split()))
     assert predicted_rows(word) == expected
-    rows = {r.index: r.normal_subgroups for r in correspondence_report(word, 6).rows}
+    rows = {r.index: r.normal_subgroups for r in correspondence_report(word, 10).rows}
     assert {m: rows[m] for m in expected} == expected
 
 

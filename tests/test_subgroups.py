@@ -19,10 +19,11 @@ from knotfield.artin import (
     arc_presentation,
     link_group_presentation,
 )
-from knotfield.braid import BraidWord
+from knotfield.braid import BraidWord, free_reduce
 from knotfield.errors import BudgetExceeded
-from knotfield import subgroups
+from knotfield import report, subgroups
 from knotfield.freegroup import FreeWord
+from knotfield.report import normal_subgroup_counts
 from knotfield.subgroups import SubgroupRecord, low_index_subgroups, trace_word
 
 
@@ -312,9 +313,9 @@ class TestDeductionQueue:
 
 
 class TestNormalOnly:
-    """The normal-only search prunes every branch with a base that
-    renumbers differently; it must return exactly the normal records of
-    the full search."""
+    """Only the normal subgroups: the report counts them as braid-fixed
+    epimorphisms onto the groups of order <= 10, and the counts must be
+    those of the normal records of the full search."""
 
     CORPUS = [
         ("1 -2 1 -2", 3, 8),
@@ -326,20 +327,45 @@ class TestNormalOnly:
         ("-1 2 -1 2 2", 3, 5),
     ]
 
+    @staticmethod
+    def normal_records(presentation, max_index):
+        return [r for r in low_index_subgroups(presentation, max_index) if r.is_normal]
+
+    @staticmethod
+    def counts(records, max_index):
+        return [sum(1 for r in records if r.index == m) for m in range(1, max_index + 1)]
+
     @pytest.mark.parametrize("text, strands, max_index", CORPUS)
     def test_equals_filtered_full_search(self, text, strands, max_index):
-        presentation = link_group_presentation(BraidWord(strands, tuple(int(v) for v in text.split())))
-        full = low_index_subgroups(presentation, max_index)
-        normal = low_index_subgroups(presentation, max_index, normal_only=True)
-        assert normal == [r for r in full if r.is_normal]
+        braid = BraidWord(strands, tuple(int(v) for v in text.split()))
+        presentation = link_group_presentation(braid)
+        normal = self.normal_records(presentation, max_index)
         assert all(oracle_is_normal(r, presentation) for r in normal)
+        assert normal_subgroup_counts(braid, max_index) == self.counts(normal, max_index)
+
+    def test_seeded_three_braids(self):
+        # braids whose reduced word uses both generators; a split closure
+        # such as that of s1^-5 has too many subgroups to search at index 6
+        rng = random.Random(24)
+        count = 0
+        while count < 30:
+            braid = BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(2, 7))))
+            if {abs(k) for k in free_reduce(braid).letters} == {1, 2}:
+                count += 1
+                normal = self.normal_records(arc_presentation(braid), 6)
+                assert normal_subgroup_counts(braid, 6) == self.counts(normal, 6), braid
 
     def test_budget_exceeded(self, monkeypatch):
-        monkeypatch.setattr(subgroups, "NODE_BUDGET", 5)
+        # counted on the reduced word (1 -2)^2 at max_index 4: 1 + 8 + 27 + 64 + 64
+        # tuples, each with one step to start and one per letter
+        monkeypatch.setattr(report, "TUPLE_STEPS", 820)
+        braid = BraidWord(3, (1, -2, 2, -2, 1, -2))
+        assert normal_subgroup_counts(braid, 4) == [1, 1, 1, 1]
+        monkeypatch.setattr(report, "TUPLE_STEPS", 819)
         with pytest.raises(
-            BudgetExceeded, match="node budget of 5 definitions exhausted at max_index 4"
+            BudgetExceeded, match="^normal-subgroup count of 820 tuple steps at max_index 4 exceeds the limit of 819$"
         ):
-            low_index_subgroups(FREE_2, 4, normal_only=True)
+            normal_subgroup_counts(braid, 4)
 
 
 class TestArcPresentation:
@@ -355,12 +381,11 @@ class TestArcPresentation:
             )
             max_index = rng.randint(1, 5)
             braid = BraidWord(strands, letters)
-            for normal_only in (False, True):
-                artin, arcs = (
-                    low_index_subgroups(pres, max_index, normal_only=normal_only)
-                    for pres in (link_group_presentation(braid), arc_presentation(braid))
-                )
-                assert arcs == artin, (strands, letters, max_index, normal_only)
+            artin, arcs = (
+                low_index_subgroups(pres, max_index)
+                for pres in (link_group_presentation(braid), arc_presentation(braid))
+            )
+            assert arcs == artin, (strands, letters, max_index)
 
     def test_branch_generators_range(self):
         relator = FreeWord.from_letters(2, [-2, 1])
