@@ -2,23 +2,26 @@
 
 The generator s_i acts by x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i, fixing
 the other generators; its inverse sends x_i -> x_{i+1} and
-x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}.  Words of automorphisms compose with the
-first braid letter acting first, matching the permutation convention in
-:mod:`knotfield.braid`, so that the relator set of a braid closure is
-reproducible down to the syllable.
+x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}.  The first braid letter acts first, as
+in the permutation convention of :mod:`knotfield.braid`.  So the images of
+x_1..x_n under a braid are built by one walk from its last letter back:
+starting from (x_1..x_n), the letter s_i sends the images (p, q) at
+positions i, i + 1 to (p q p^-1, p), and s_i^-1 sends them to
+(q, q^-1 p q).  After each letter the walk holds the images under the
+braid's suffix from that letter on (the Hurwitz action on the image tuple).
 
 The fundamental group of the closure of a braid b on n strands is presented
 by generators x_1..x_n and relators x_i^-1 * (image of x_i under the action
 of b), with trivial relators dropped.  Their length can grow exponentially
-with the braid, so they are built one letter of the freely reduced braid at
-a time (free reduction keeps the automorphism) and refused with
-``BudgetExceeded`` once the relators of a prefix hold more than
+with the braid, so the presentation walks the freely reduced braid (free
+reduction keeps the automorphism), and the walk is refused with
+``BudgetExceeded`` once the relators of a suffix hold more than
 ``MAX_RELATOR_LETTERS`` letters in total (read at each call).
 
 The arc (Wirtinger) presentation of the same group grows linearly.  Its
 generators are x_1..x_n, then one arc per crossing; the braid letters are read
-last to first, matching ``FreeAutomorphism.then``, keeping the arc at each
-strand position, with p at position i and q at position i + 1:
+last to first, as in the walk above, keeping the arc at each strand position,
+with p at position i and q at position i + 1:
 
 * s_i: a new arc a = p q p^-1 goes to position i, and p moves to i + 1;
 * s_i^-1: q moves to position i, and a new arc a = q^-1 p q goes to i + 1.
@@ -51,32 +54,33 @@ def artin_generator(index: int, sign: int, strands: int) -> FreeAutomorphism:
         raise IndexOutOfRange(f"generator index {index} outside 1..{strands - 1}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    n = strands
-    images = [FreeWord.generator(i, n) for i in range(1, n + 1)]
-    i = index
-    if sign == 1:
-        images[i - 1] = FreeWord(n, ((i, 1), (i + 1, 1), (i, -1)))
-        images[i] = FreeWord.generator(i, n)
-    else:
-        images[i - 1] = FreeWord.generator(i + 1, n)
-        images[i] = FreeWord(n, ((i + 1, -1), (i, 1), (i + 1, 1)))
-    return FreeAutomorphism(n, tuple(images))
-
-
-def _artin_prefixes(word: BraidWord):
-    """Images of the prefixes of ``word``, the empty prefix first."""
-    auto = FreeAutomorphism.identity(word.strands)
-    yield auto
-    for k in word.letters:
-        auto = auto.then(artin_generator(abs(k), 1 if k > 0 else -1, word.strands))
-        yield auto
+    return artin_rep(BraidWord(strands, (sign * index,)))
 
 
 def artin_rep(word: BraidWord) -> FreeAutomorphism:
-    """Image of a braid word under the Artin representation."""
-    for auto in _artin_prefixes(word):
-        pass
-    return auto
+    """Image of a braid word under the Artin representation, walked from the
+    last letter back.  ``BudgetExceeded`` once the relators x_i^-1 * image
+    of a suffix hold more than ``MAX_RELATOR_LETTERS`` letters in total."""
+    n = word.strands
+    images = [FreeWord.generator(i, n) for i in range(1, n + 1)]
+    for k in reversed(word.letters):
+        i = abs(k) - 1
+        p, q = images[i], images[i + 1]
+        if k > 0:
+            images[i], images[i + 1] = p * q * p.inverse(), p
+        else:
+            images[i], images[i + 1] = q, q.inverse() * p * q
+        letters = 0
+        for gen, image in enumerate(images, start=1):
+            # x_i^-1 cancels a leading x_i and nothing more
+            first, exp = image.syllables[0]
+            letters += sum(abs(e) for _, e in image.syllables) + (-1 if first == gen and exp > 0 else 1)
+        if letters > MAX_RELATOR_LETTERS:
+            raise BudgetExceeded(
+                f"Artin relators of a braid suffix reach {letters} letters,"
+                f" past the limit of {MAX_RELATOR_LETTERS}"
+            )
+    return FreeAutomorphism(n, tuple(images))
 
 
 @dataclass(frozen=True)
@@ -114,22 +118,12 @@ class GroupPresentation:
 
 def link_group_presentation(word: BraidWord) -> GroupPresentation:
     """Artin's presentation of the fundamental group of the closure of
-    ``word``.  ``BudgetExceeded`` once the relators x_i^-1 * b(x_i) of a
-    prefix of the freely reduced braid hold more than
-    ``MAX_RELATOR_LETTERS`` letters in total."""
+    ``word``, from ``artin_rep`` of the freely reduced braid, so refused
+    once the relators x_i^-1 * b(x_i) of a suffix b of that braid hold more
+    than ``MAX_RELATOR_LETTERS`` letters in total."""
     n = word.strands
-    for auto in _artin_prefixes(free_reduce(word)):
-        letters = 0
-        for i, image in enumerate(auto.images, start=1):
-            # x_i^-1 cancels a leading x_i and nothing more
-            gen, exp = image.syllables[0]
-            letters += sum(abs(e) for _, e in image.syllables) + (-1 if gen == i and exp > 0 else 1)
-        if letters > MAX_RELATOR_LETTERS:
-            raise BudgetExceeded(
-                f"Artin relators of a braid prefix reach {letters} letters,"
-                f" past the limit of {MAX_RELATOR_LETTERS}"
-            )
-    relators = (FreeWord.generator(i, n, -1) * image for i, image in enumerate(auto.images, start=1))
+    images = artin_rep(free_reduce(word)).images
+    relators = (FreeWord.generator(i, n, -1) * image for i, image in enumerate(images, start=1))
     return GroupPresentation(n, tuple(r for r in relators if not r.is_identity()))
 
 

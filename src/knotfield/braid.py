@@ -7,8 +7,11 @@ function, so braids can be shared freely across threads.
 
 Convention used throughout the package: the first letter of a word acts
 first.  The underlying permutation of a word is therefore the left-to-right
-composite of the transpositions (i, i+1), and the Artin representation in
-:mod:`knotfield.artin` composes automorphisms the same way.
+composite of the transpositions (i, i+1).  Every braid action in the package
+is computed by one walk from the last letter back, updating the entries at
+positions i, i+1 for the letter s_i: here the strand numbers, in
+:mod:`knotfield.artin` the Artin images of the generators, and in
+:mod:`knotfield.report` tuples of group elements.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, GeneratorOutOfRange, MalformedToken, StrandMismatch
 from .freegroup import FreeWord
 
-_ALIAS = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
+# ASCII digits only: int() would also read "1_0" and non-ASCII digits
+_LETTER = re.compile(r"[+-]?[0-9]+")
+_ALIAS = re.compile(r"s([0-9]+)(?:\^(-?[0-9]+))?")
 
 # no braid word is built longer than this, so a short text cannot ask for
 # gigabytes of letters
@@ -100,7 +105,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     alias that would take the word past MAX_LETTERS raises BudgetExceeded."""
     letters = []
     for token in text.replace(",", " ").split():
-        m = _ALIAS.match(token)
+        m = _ALIAS.fullmatch(token)
         if m:
             try:
                 index = int(m.group(1))
@@ -116,6 +121,8 @@ def parse_braid(text: str, strands: int) -> BraidWord:
             letters.extend([sign * index] * abs(power))
             continue
         try:
+            if not _LETTER.fullmatch(token):
+                raise ValueError
             k = int(token)
         except ValueError:
             raise MalformedToken(f"cannot read braid letter {token!r}") from None
@@ -146,17 +153,12 @@ def stabilize(word: BraidWord, sign: int = 1) -> BraidWord:
 
 
 def underlying_permutation(word: BraidWord) -> Permutation:
-    """Project to the symmetric group, first letter acting first.
-
-    Appending the transposition g <-> g+1 *after* the accumulated map means
-    swapping the two values in the image tuple, not the two positions; the
-    position swap would compose in the opposite order.
-    """
+    """Project to the symmetric group, first letter acting first: the
+    letters are read last to first, each swapping positions i and i+1."""
     images = list(range(1, word.strands + 1))
-    for k in word.letters:
-        g = abs(k)
-        a, b = images.index(g), images.index(g + 1)
-        images[a], images[b] = images[b], images[a]
+    for k in reversed(word.letters):
+        i = abs(k)
+        images[i - 1], images[i] = images[i], images[i - 1]
     return Permutation(tuple(images))
 
 

@@ -113,10 +113,6 @@ class FreeAutomorphism:
             if img.rank != self.rank:
                 raise ValueError("image rank mismatch")
 
-    @staticmethod
-    def identity(rank: int) -> "FreeAutomorphism":
-        return FreeAutomorphism(rank, tuple(FreeWord.generator(i, rank) for i in range(1, rank + 1)))
-
     def apply(self, word: FreeWord) -> FreeWord:
         """Substitute generator images into ``word`` and reduce."""
         if word.rank != self.rank:
@@ -127,12 +123,6 @@ class FreeAutomorphism:
             for _ in range(abs(exp)):
                 parts.extend(img.syllables)
         return FreeWord(self.rank, tuple(parts))
-
-    def then(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
-        """Composite applying ``self`` first, then ``other``."""
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeAutomorphism(self.rank, tuple(other.apply(img) for img in self.images))
 
     def is_identity(self) -> bool:
         return all(

@@ -23,10 +23,12 @@ For the closure of a braid on n strands, Hom(G, Q) is the set of tuples
 sends (g_i, g_{i+1}) to (g_i g_{i+1} g_i^-1, g_i) and s_i^-1 undoes it.
 These are the colourings of the arcs by Q (R. H. Fox, "A quick trip through
 knot theory", 1962), with the letters read last to first as in
-``artin.arc_presentation``.  The epimorphisms are the fixed tuples whose
-entries generate Q.  Every tuple of every group is walked through the freely
-reduced word, one permutation of Q^n per letter, so the work is linear in
-the braid.  A request of more than ``TUPLE_STEPS`` steps, one per tuple to
+``artin.arc_presentation``.  The same walk on free words gives Artin's
+images in ``artin.artin_rep``, so the fixed tuples are the solutions of
+Artin's relators x_i^-1 b(x_i) in Q.  The epimorphisms are the fixed
+tuples whose entries generate Q.  Every tuple of every group is walked
+through the freely reduced word, one permutation of Q^n per letter, so the
+work is linear in the braid.  A request of more than ``TUPLE_STEPS`` steps, one per tuple to
 start and one per tuple and letter, is refused with ``BudgetExceeded``
 before any work.
 
@@ -121,23 +123,28 @@ def normal_subgroup_counts(word: BraidWord, max_index: int) -> list[int]:
 
 
 def _epimorphisms(k: int, strands: int, letters: tuple[int, ...]) -> int:
-    """|Epi(G, Q)| for Q = SMALL_GROUPS[k]: the tuples of Q^strands, coded
-    with g_1 as the leading base-|Q| digit, that the braid fixes and whose
-    entries generate Q."""
+    """|Epi(G, Q)| for Q = SMALL_GROUPS[k]: the tuples of Q^strands that the
+    braid fixes and whose entries generate Q."""
     mul, inv = _cayley(k)
     order = len(inv)
-    maps = {letter: _hurwitz(mul, inv, strands, letter) for letter in set(letters)}
-    images = range(order**strands)
-    for letter in reversed(letters):
-        images = list(map(maps[letter].__getitem__, images))
     generating: dict[frozenset[int], bool] = {}
     count = 0
-    for code in [code for code, image in enumerate(images) if code == image]:
+    for code in _fixed_tuples(mul, inv, strands, letters):
         key = frozenset(code // order**j % order for j in range(strands))
         if key not in generating:
             generating[key] = len(_closure(0, key, lambda x, g: mul[x * order + g])) == order
         count += generating[key]
     return count
+
+
+def _fixed_tuples(mul: list[int], inv: list[int], strands: int, letters: tuple[int, ...]) -> list[int]:
+    """The tuples of Q^strands, coded with g_1 as the leading base-|Q| digit,
+    that the braid fixes, its letters read last to first."""
+    maps = {letter: _hurwitz(mul, inv, strands, letter) for letter in set(letters)}
+    images = range(len(inv) ** strands)
+    for letter in reversed(letters):
+        images = list(map(maps[letter].__getitem__, images))
+    return [code for code, image in enumerate(images) if code == image]
 
 
 def _closure(identity, gens, times) -> list:

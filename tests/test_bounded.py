@@ -15,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import knotfield
+from knotfield.artin import artin_rep
+from knotfield.braid import BraidWord
+from knotfield.errors import BudgetExceeded
 
 _SRC = str(Path(knotfield.__file__).resolve().parents[1])
 
@@ -132,6 +135,21 @@ def test_present_long_braid_is_refused_in_time():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("BudgetExceeded: ") and done.stderr.count("\n") == 1
+
+
+def test_present_first_braid_past_the_letter_limit_is_refused_in_time():
+    # (1 -2)^10 holds 43784 relator letters; a suffix of (1 -2)^11 reaches 114628
+    done = _run(["linkgroup", "present", " ".join(["1 -2"] * 11)], deadline=5)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("BudgetExceeded: ") and done.stderr.count("\n") == 1
+
+
+def test_artin_rep_past_the_letter_limit_is_refused():
+    # artin_rep walks the same suffixes as the presentation, so it stops at
+    # the same limit instead of growing without bound
+    with pytest.raises(BudgetExceeded, match="^Artin relators of a braid suffix reach 114628 letters"):
+        artin_rep(BraidWord(3, (1, -2) * 11))
 
 
 def test_subgroups_long_braid_is_bounded():

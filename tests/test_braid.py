@@ -60,6 +60,26 @@ class TestParse:
         with pytest.raises(MalformedToken, match="^cannot read braid letter '"):
             parse_braid(token, 3)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1_0", id="underscore"),
+            pytest.param("s1_0", id="alias-underscore"),
+            pytest.param("s1^1_0", id="alias-power-underscore"),
+            pytest.param("\u0661 -\u0662", id="arabic-indic-digits"),
+            pytest.param("s\u0661", id="alias-arabic-indic-digit"),
+            pytest.param("s1^\u0662", id="alias-power-arabic-indic-digit"),
+            pytest.param("\uff11", id="fullwidth-digit"),
+        ],
+    )
+    def test_only_ascii_digits_are_letters(self, text):
+        # int() reads "1_0" as 10 and non-ASCII digits as their values
+        with pytest.raises(MalformedToken, match="^cannot read braid letter '"):
+            parse_braid(text, 12)
+
+    def test_signed_ascii_letters(self):
+        assert parse_braid("+1 -2 s1^-1", 3) == BraidWord(3, (1, -2, -1))
+
     def test_letters_kept_unreduced(self):
         assert parse_braid("1 -1", 2).letters == (1, -1)
 

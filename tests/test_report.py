@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from knotfield import report
+from knotfield.artin import artin_rep
 from knotfield.braid import BraidWord, closure_components
 from knotfield.cli import run
 from knotfield.errors import NonHyperbolic
 from knotfield.invariant import monodromy
 from knotfield.numfield import ideals_of_norm, make_field
-from knotfield.report import SMALL_GROUPS, _cayley, correspondence_report, normal_subgroup_counts
+from knotfield.report import SMALL_GROUPS, _cayley, _fixed_tuples, correspondence_report, normal_subgroup_counts
 from knotfield.smith import smith_invariants
 
 
@@ -218,6 +219,40 @@ def test_remainder_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(report, "SMALL_GROUPS", tuple(groups))
     with pytest.raises(RuntimeError, match="epimorphisms onto C3 are not a multiple of"):
         normal_subgroup_counts(BraidWord(3, (1, -2)), 3)
+
+
+# -- the Hurwitz letter maps against Artin's relators -----------------------------
+
+
+def evaluate(word, values, mul, inv):
+    """The element of Q that the free word names when x_j is values[j - 1]."""
+    order = len(inv)
+    g = 0
+    for gen, exp in word.syllables:
+        a = values[gen - 1] if exp > 0 else inv[values[gen - 1]]
+        for _ in range(abs(exp)):
+            g = mul[g * order + a]
+    return g
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "D5"])
+def test_fixed_tuples_solve_artin_relators(name):
+    # Hom(G, Q) two ways: the tuples that the Hurwitz letter maps fix, and
+    # the tuples g with b(x_j)(g) = g_j for Artin's images b(x_j); a braid
+    # read first to last in either path gives another set
+    mul, inv = _cayley(next(k for k, g in enumerate(SMALL_GROUPS) if g[0] == name))
+    rng = random.Random(25)
+    for strands, count in ((3, 30), (4, 10)):
+        for _ in range(count):
+            letters = (rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(4, 8)))
+            word = BraidWord(strands, tuple(letters))
+            images = artin_rep(word).images
+            solutions = {
+                code
+                for code, values in enumerate(itertools.product(range(len(inv)), repeat=strands))
+                if all(evaluate(image, values, mul, inv) == v for image, v in zip(images, values))
+            }
+            assert set(_fixed_tuples(mul, inv, strands, word.letters)) == solutions, word
 
 
 # -- double branched cover oracle -------------------------------------------------
