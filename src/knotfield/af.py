@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+from ._record import record
 from .errors import BudgetExceeded, DeadVertex, FloatOverflow, NotPrimitive, integer_rows
 from .numfield import square_free_part
 
@@ -28,7 +28,7 @@ Matrix = tuple[tuple[int, ...], ...]
 _DIAGRAM_ENTRIES = 10**5
 
 
-@dataclass(frozen=True)
+@record
 class IncidenceMatrix:
     """Square matrix of nonnegative integer edge multiplicities.  Entries
     must be integers: an integral value such as 2.0 or a numpy integer is
@@ -92,7 +92,7 @@ def char_poly(matrix: IncidenceMatrix) -> tuple[int, ...]:
     return tuple(reversed(poly))
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticSurd:
     """(add + coeff * sqrt(radicand)) / div in lowest terms, radicand square-free."""
 
@@ -120,7 +120,7 @@ class QuadraticSurd:
         return f"({body})/{self.div}" if self.div != 1 else f"({body})"
 
 
-@dataclass(frozen=True)
+@record
 class PerronData:
     """Spectral radius of a primitive incidence matrix.
 
@@ -250,7 +250,7 @@ def _nearest_float(sturm, lo: int, hi: int, above: int) -> float:
     return hi / (1 << shift)
 
 
-@dataclass(frozen=True)
+@record
 class DimensionGroupDescriptor:
     """Ordered K-theory data of the stationary algebra with the given matrix."""
 
@@ -275,7 +275,7 @@ def dimension_group(matrix: IncidenceMatrix) -> DimensionGroupDescriptor:
     )
 
 
-@dataclass(frozen=True)
+@record
 class BratteliDiagram:
     """Leveled multigraph: vertex counts per level and one multiplicity
     matrix per gap, of shape (count at level) x (count at next level).

@@ -36,8 +36,7 @@ columns by deduction.  Subgroup searches on a braid closure run on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .braid import BraidWord, free_reduce
 from .errors import BudgetExceeded, IndexOutOfRange
 from .freegroup import FreeAutomorphism, FreeWord
@@ -83,7 +82,7 @@ def artin_rep(word: BraidWord) -> FreeAutomorphism:
     return FreeAutomorphism(n, tuple(images))
 
 
-@dataclass(frozen=True)
+@record
 class GroupPresentation:
     """A finite presentation: generator count plus freely reduced relators.
 

@@ -17,13 +17,11 @@ positions i, i+1 for the letter s_i: here the strand numbers, in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import BudgetExceeded, GeneratorOutOfRange, MalformedToken, StrandMismatch
+from ._record import record
+from .errors import BudgetExceeded, GeneratorOutOfRange, MalformedToken, StrandMismatch, integer
 from .freegroup import FreeWord
 
-# ASCII digits only: int() would also read "1_0" and non-ASCII digits
-_LETTER = re.compile(r"[+-]?[0-9]+")
 _ALIAS = re.compile(r"s([0-9]+)(?:\^(-?[0-9]+))?")
 
 # no braid word is built longer than this, so a short text cannot ask for
@@ -37,7 +35,7 @@ def check_length(count: int) -> None:
         raise BudgetExceeded(f"braid word of {count} letters exceeds the limit of {MAX_LETTERS}")
 
 
-@dataclass(frozen=True)
+@record
 class BraidWord:
     """A word in braid generators together with its strand count."""
 
@@ -66,7 +64,7 @@ class BraidWord:
         return " ".join(str(k) for k in self.letters) if self.letters else "<empty>"
 
 
-@dataclass(frozen=True)
+@record
 class Permutation:
     """A bijection of {1..n}, stored as the tuple of images of 1..n."""
 
@@ -76,14 +74,6 @@ class Permutation:
         object.__setattr__(self, "images", tuple(self.images))
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"{self.images} is not a bijection of 1..{len(self.images)}")
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """Composite that applies ``self`` first, then ``other``."""
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
 
     def cycle_count(self) -> int:
         seen = [False] * len(self.images)
@@ -121,9 +111,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
             letters.extend([sign * index] * abs(power))
             continue
         try:
-            if not _LETTER.fullmatch(token):
-                raise ValueError
-            k = int(token)
+            k = integer(token)
         except ValueError:
             raise MalformedToken(f"cannot read braid letter {token!r}") from None
         letters.append(k)

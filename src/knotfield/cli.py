@@ -17,18 +17,18 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import af, cluster
+from ._record import record
 from .artin import arc_presentation, link_group_presentation
 from .braid import closure_components, free_reduce, parse_braid
-from .errors import DomainError
+from .errors import DomainError, integer
 from .invariant import field_of, field_table, two_generator_power_braid
 from .report import correspondence_report
 from .subgroups import INDEX_CAP, low_index_subgroups
 
 
-@dataclass
+@record
 class CommandResult:
     exit_code: int
     stdout: str
@@ -55,9 +55,9 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="emit JSON on stdout")
     common.add_argument("--dot", action="store_true", default=argparse.SUPPRESS,
                         help="emit Graphviz DOT where supported")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--seed", type=integer, default=argparse.SUPPRESS,
                         help="seed for randomized property trials")
-    common.add_argument("--strands", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--strands", type=integer, default=argparse.SUPPRESS,
                         help="strand count for braid inputs")
     return common
 
@@ -84,37 +84,37 @@ def _build_parser() -> _Parser:
         p = lg_sub.add_parser(name, parents=[common])
         p.add_argument("word")
         if name == "subgroups":
-            p.add_argument("--max-index", type=int, default=4)
+            p.add_argument("--max-index", type=integer, default=4)
 
     cl = sub.add_parser("cluster", help="cluster mutation engine")
     cl_sub = cl.add_subparsers(dest="action", required=True)
     mutate = cl_sub.add_parser("mutate", parents=[common])
     mutate.add_argument("--dirs", required=True, help="comma-separated directions, e.g. 1,2,1")
     tree = cl_sub.add_parser("tree", parents=[common])
-    tree.add_argument("--depth", type=int, required=True)
+    tree.add_argument("--depth", type=integer, required=True)
     tree.add_argument("--prune-backtrack", action="store_true")
     enum = cl_sub.add_parser("enumerate", parents=[common])
-    enum.add_argument("--max", type=int, default=100)
+    enum.add_argument("--max", type=integer, default=100)
     lc = cl_sub.add_parser("laurent-check", parents=[common])
-    lc.add_argument("--trials", type=int, default=100)
-    lc.add_argument("--depth", type=int, default=8)
+    lc.add_argument("--trials", type=integer, default=100)
+    lc.add_argument("--depth", type=integer, default=8)
     for p in (mutate, tree, enum, lc):
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--polygon", type=int, help="polygon vertex count")
-        group.add_argument("--surface", nargs=2, type=int, metavar=("G", "N"), help="genus and cusps")
+        group.add_argument("--polygon", type=integer, help="polygon vertex count")
+        group.add_argument("--surface", nargs=2, type=integer, metavar=("G", "N"), help="genus and cusps")
 
     af_cmd = sub.add_parser("af", help="incidence-matrix analysis")
     af_sub = af_cmd.add_subparsers(dest="action", required=True)
     bratteli = af_sub.add_parser("bratteli", parents=[common])
     bratteli.add_argument("--matrix", required=True, help="row-major, e.g. '2,1;1,1'")
-    bratteli.add_argument("--levels", type=int, default=3)
+    bratteli.add_argument("--levels", type=integer, default=3)
     perron_cmd = af_sub.add_parser("perron", parents=[common])
     perron_cmd.add_argument("--matrix", required=True)
 
     field = sub.add_parser("field", parents=[common], help="quadratic field of a braid closure")
     source = field.add_mutually_exclusive_group(required=True)
     source.add_argument("--braid", help="three-strand braid word")
-    source.add_argument("--pq", nargs=2, type=int, metavar=("P", "Q"))
+    source.add_argument("--pq", nargs=2, type=integer, metavar=("P", "Q"))
 
     table = sub.add_parser("table", parents=[common], help="field table for s1^p s2^-q closures")
     table.add_argument("--pq-list", nargs="+", required=True, metavar="P,Q")
@@ -123,7 +123,7 @@ def _build_parser() -> _Parser:
     rep_sub = rep.add_subparsers(dest="action", required=True)
     corr = rep_sub.add_parser("correspondence", parents=[common])
     corr.add_argument("--braid", required=True)
-    corr.add_argument("--max-index", type=int, default=4)
+    corr.add_argument("--max-index", type=integer, default=4)
 
     return parser
 
@@ -133,14 +133,14 @@ def _integers(flag: str, text: str) -> list[int]:
     values = []
     for token in filter(None, text.split(",")):
         try:
-            values.append(int(token))
+            values.append(integer(token))
         except ValueError:
             raise ValueError(f"{flag} takes comma-separated integers, got {token!r}") from None
     return values
 
 
 def _parse_matrix(text: str):
-    rows = [tuple(_integers("--matrix", row.replace(" ", ""))) for row in text.split(";")]
+    rows = [tuple(_integers("--matrix", row)) for row in text.split(";")]
     return af.IncidenceMatrix(tuple(rows))
 
 
@@ -281,7 +281,7 @@ def _cmd_table(args) -> str:
     pairs = []
     for token in args.pq_list:
         try:
-            p, q = (int(v) for v in token.split(","))
+            p, q = map(integer, token.split(","))
         except ValueError:
             raise ValueError(f"--pq-list takes integer pairs P,Q, got {token!r}") from None
         pairs.append((p, q))

@@ -33,10 +33,10 @@ memoized, which makes replaying shared prefixes of direction sequences
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import neg
 
+from ._record import record
 from .af import BratteliDiagram
 from .errors import BudgetExceeded, DirectionOutOfRange, TooSmall, UnsupportedSurface, integer_rows
 from .laurent import LaurentFraction, Polynomial
@@ -64,7 +64,7 @@ _TORUS_WITH_CUSP = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
 _MARKOV = LaurentFraction(Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}), (1, 1, 1))
 
 
-@dataclass(frozen=True)
+@record
 class ExchangeMatrix:
     """Skew-symmetric integer matrix driving the exchange relations.  Entries
     must be integers: an integral value such as 2.0 or a numpy integer is
@@ -118,7 +118,7 @@ def _mutate_b(rows: MatrixRows, k: int) -> MatrixRows:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class Seed:
     """Cluster variables (in the initial variables) plus exchange matrix."""
 
@@ -126,8 +126,9 @@ class Seed:
     matrix: ExchangeMatrix
     # True only on seeds from initial_seed on +-B0 and from the Markov route,
     # whose variables satisfy (x1^2 + x2^2 + x3^2) / (x1 x2 x3) = _MARKOV.  A
-    # seed equal to a flagged one satisfies it too, so equality ignores it.
-    _markov: bool = field(default=False, init=False, compare=False, repr=False)
+    # seed equal to a flagged one satisfies it too, so equality ignores it
+    # (the leading underscore keeps it out of __init__, ==, hash and repr).
+    _markov: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -270,7 +271,7 @@ def polygon_seed(vertex_count: int) -> Seed:
     return initial_seed(ExchangeMatrix(rows))
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceSpec:
     """A genus-g surface with n cusps, 2g - 2 + n > 0."""
 

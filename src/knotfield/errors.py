@@ -4,8 +4,22 @@ Everything that represents a *domain* failure (bad mathematical input,
 budget blown, degenerate object) derives from :class:`DomainError` so the
 command line layer can map it uniformly to exit code 2.  Plain usage bugs
 (wrong types, out-of-contract arguments) stay ordinary ``ValueError``s;
-``integer_rows`` raises the one shared by the integer matrix types.
+``integer_rows`` raises the one shared by the integer matrix types, and
+``integer`` the one for every integer typed on the command line.
 """
+
+import re
+
+# ASCII digits only: int() alone would also read "1_0" as 10 and "٢" as 2
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def integer(text: str) -> int:
+    """``text`` as an integer, [+-]?[0-9]+ with blanks around it allowed.
+    Anything else, or more digits than int() converts, raises ValueError."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:

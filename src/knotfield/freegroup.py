@@ -8,9 +8,9 @@ group elements compare equal structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import IndexOutOfRange
 
 Syllable = tuple[int, int]
@@ -32,7 +32,7 @@ def _normalize(rank: int, syllables: Iterable[Syllable]) -> tuple[Syllable, ...]
     return tuple((g, e) for g, e in stack)
 
 
-@dataclass(frozen=True)
+@record
 class FreeWord:
     """A freely reduced word in the free group of the given rank."""
 
@@ -94,7 +94,7 @@ class FreeWord:
         return " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in self.syllables)
 
 
-@dataclass(frozen=True)
+@record
 class FreeAutomorphism:
     """An endomorphism given by the images of the generators.
 

@@ -16,8 +16,7 @@ included in the invariant record so that callers can detect collisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .braid import BraidWord, check_length, closure_components
 from .errors import NonHyperbolic, WrongStrandCount, integer_rows
 from .numfield import QuadraticField, make_field
@@ -28,7 +27,7 @@ _GEN2 = ((1, 0), (-1, 1))
 _GEN2_INV = ((1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
+@record
 class MonodromyMatrix:
     """A 2x2 integer matrix of determinant one."""
 
@@ -69,7 +68,7 @@ def monodromy(word: BraidWord) -> MonodromyMatrix:
     return MonodromyMatrix(acc)
 
 
-@dataclass(frozen=True)
+@record
 class FieldInvariant:
     """The quadratic field attached to a hyperbolic three-strand braid."""
 
@@ -105,7 +104,7 @@ def two_generator_power_braid(p: int, q: int) -> BraidWord:
     return BraidWord(3, (1,) * p + (-2,) * q)
 
 
-@dataclass(frozen=True)
+@record
 class TableRow:
     p: int
     q: int

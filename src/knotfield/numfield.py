@@ -11,8 +11,8 @@ values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import FieldMismatch, NotPrime, PerfectSquare, TooLargeToFactor
 
 # Trial division strips every prime up to this bound, so a cofactor left below
@@ -89,7 +89,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticField:
     """The real quadratic field generated by the square root of the radicand."""
 
@@ -118,7 +118,7 @@ def make_field(radicand_raw: int) -> QuadraticField:
     return QuadraticField(radicand_raw, d, disc, basis)
 
 
-@dataclass(frozen=True)
+@record
 class PrimeSplitting:
     """How a rational prime factors in the ring of integers."""
 
@@ -170,7 +170,7 @@ def _sqrt_mod(a: int, p: int) -> int:
     return min(r, p - r)
 
 
-@dataclass(frozen=True)
+@record
 class PrimeIdealSymbol:
     """One prime ideal above a rational prime; the tag separates the two
     conjugates above a split prime."""
@@ -186,7 +186,7 @@ class PrimeIdealSymbol:
         return (self.prime, self.conjugate_tag, self.kind)
 
 
-@dataclass(frozen=True)
+@record
 class FactoredIdeal:
     """A nonzero ideal as a sorted product of prime symbols with exponents."""
 

@@ -38,9 +38,9 @@ The ideal column comes from ``numfield.ideals_of_norm``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 
+from ._record import record
 from .braid import BraidWord, free_reduce
 from .errors import BudgetExceeded
 from .invariant import FieldInvariant, field_of
@@ -73,14 +73,14 @@ SMALL_GROUPS = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class CorrespondenceRow:
     index: int
     normal_subgroups: int
     ideals_of_norm: int
 
 
-@dataclass(frozen=True)
+@record
 class CorrespondenceReport:
     invariant: FieldInvariant
     rows: tuple[CorrespondenceRow, ...]

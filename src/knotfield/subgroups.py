@@ -57,8 +57,7 @@ the search stood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .artin import GroupPresentation
 from .errors import BudgetExceeded
 
@@ -67,7 +66,7 @@ INDEX_CAP = 10
 NODE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
+@record
 class SubgroupRecord:
     """One conjugacy class of subgroups, as a canonical coset table."""
 

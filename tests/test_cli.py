@@ -256,3 +256,27 @@ class TestUsageErrors:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "--pq", "1_0", "1"],
+            ["af", "perron", "--matrix", "2,1_0;1,1"],
+            ["cluster", "mutate", "--dirs", "1,٢"],
+            ["af", "perron", "--matrix", "2,1 0;1,1"],
+            ["table", "--pq-list", "1,1_0"],
+            ["--seed", "٣", "field", "--pq", "1", "1"],
+            ["cluster", "enumerate", "--polygon", "1_0"],
+        ],
+    )
+    def test_integers_are_ascii_digits(self, argv):
+        # int() reads "1_0" as 10 and any Unicode decimal digit; the CLI does not
+        result = run(argv)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage error: ")
+
+    def test_integers_take_a_sign_and_blanks(self):
+        assert out_json(["field", "--pq", "+1", " 1", "--json"])["radicand"] == 5
+        assert out_json(["--json", "af", "perron", "--matrix", " 2, 1; 1,+1 "])["matrix"] == [[2, 1], [1, 1]]
+        assert out_json(["--json", "cluster", "mutate", "--dirs", "1, 2", "--polygon", "6"])["B"]
