@@ -34,7 +34,7 @@ memoized, which makes replaying shared prefixes of direction sequences
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import neg
+from operator import add, neg, sub
 
 from ._record import record
 from .af import BratteliDiagram
@@ -102,19 +102,28 @@ def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
 def _mutate_b(rows: MatrixRows, k: int) -> MatrixRows:
     """Rows of B, or of the extended matrix [B; C], mutated at k (0-based):
     row k of B is negated, and every other row has a_ik -> -a_ik and
-    a_ij -> a_ij + (|a_ik| b_kj + a_ik |b_kj|) / 2 for j != k."""
+    a_ij -> a_ij + (|a_ik| b_kj + a_ik |b_kj|) / 2 for j != k.  That term is
+    a_ik max(b_kj, 0) when a_ik > 0 and a_ik max(-b_kj, 0) when a_ik < 0, so
+    the pivot row is split by sign once and a row with a_ik = 0 is shared.
+    The rule is an involution: mutating the result at k gives ``rows``."""
     pivot = rows[k]
+    plus = [p if p > 0 else 0 for p in pivot]
+    minus = [-p if p < 0 else 0 for p in pivot]
     out = []
     for row in rows:
         a = row[k]
         if a == 0:
             out.append(row)
+            continue
+        if a == 1:
+            new = list(map(add, row, plus))
+        elif a == -1:
+            new = list(map(sub, row, minus))
         else:
-            out.append(tuple(
-                -a if j == k else v + (abs(a) * p + a * abs(p)) // 2
-                for j, (v, p) in enumerate(zip(row, pivot))
-            ))
-    out[k] = tuple(-v for v in pivot)  # b_kk = 0 left row k as it was
+            new = [v + a * q for v, q in zip(row, plus if a > 0 else minus)]
+        new[k] = -a
+        out.append(tuple(new))
+    out[k] = tuple(map(neg, pivot))
     return tuple(out)
 
 
@@ -226,6 +235,10 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
     2020); and ``ExchangeMatrix`` only admits skew-symmetric B.  The
     c-vectors are distinct because C is invertible, and a relabelling
     permutes them and B together.
+
+    Mutation is an involution, so the neighbour of a frontier seed in the
+    direction it arrived by is the seed it came from, already in the set:
+    the frontier carries that direction and skips it.
     """
     if max_seeds < 1:
         raise ValueError("max_seeds must be at least 1")
@@ -234,11 +247,13 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
     cap = MAX_TREE_ENTRIES // per_seed  # seeds that fit the entry limit
     start = _extended_start(seed)
     seen = {tuple(sorted(zip(*start[n:])))}
-    frontier = [start]
+    frontier = [(start, None)]  # (seed, direction used to arrive)
     while frontier:
         next_frontier = []
-        for current in frontier:
+        for current, arrived in frontier:
             for k in range(n):
+                if k == arrived:
+                    continue
                 neighbour = _mutate_b(current, k)
                 form = tuple(sorted(zip(*neighbour[n:])))
                 if form in seen:
@@ -251,7 +266,7 @@ def enumerate_seeds(seed: Seed, max_seeds: int) -> tuple[int, bool]:
                         f"entries ({n * n} + {_SEED_OVERHEAD} each), above the limit of {MAX_TREE_ENTRIES}"
                     )
                 seen.add(form)
-                next_frontier.append(neighbour)
+                next_frontier.append((neighbour, k))
         frontier = next_frontier
     return len(seen), True
 
@@ -320,13 +335,15 @@ def mutation_tree(seed: Seed, depth: int, prune_backtrack: bool = False) -> Brat
     under ``enumerate_seeds``.  Each level's rows are written once: a seed's
     child indices are recorded as the level is walked, then counted into
     its row, which the diagram keeps as the tuple it was frozen to.
+    Mutation is an involution, so a seed's child in the direction it
+    arrived by is its parent, whose rows are carried instead of recomputed.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > 6:
         raise BudgetExceeded(f"tree depth {depth} exceeds the node-count guard (6)")
     n = seed.rank
-    current = [(_extended_start(seed), None)]  # (seed, direction used to arrive)
+    current = [(_extended_start(seed), None, None)]  # (seed, direction used to arrive, parent)
     matrices = []
     for level in range(1, depth + 1):
         entries = len(current) * n * (n * n + len(current))
@@ -335,18 +352,21 @@ def mutation_tree(seed: Seed, depth: int, prune_backtrack: bool = False) -> Brat
                 f"tree level {level} could write {entries} entries, above the limit of {MAX_TREE_ENTRIES}"
             )
         index: dict[MatrixRows, int] = {}
-        nxt: list[tuple[MatrixRows, int | None]] = []
+        nxt: list[tuple[MatrixRows, int | None, MatrixRows | None]] = []
         children: list[list[int]] = []  # per seed, the child index of each direction
-        for node, arrived in current:
+        for node, arrived, parent in current:
             targets = []
             for k in range(n):
-                if prune_backtrack and arrived == k:
+                if k != arrived:
+                    child = _mutate_b(node, k)
+                elif prune_backtrack:
                     continue
-                child = _mutate_b(node, k)
+                else:
+                    child = parent
                 label = child[n:]
                 if label not in index:
                     index[label] = len(nxt)
-                    nxt.append((child, k))
+                    nxt.append((child, k, node))
                 targets.append(index[label])
             children.append(targets)
         rows = []

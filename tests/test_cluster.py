@@ -150,6 +150,28 @@ def laurent_tree(seed, depth, prune_backtrack):
     return tuple(sizes), tuple(matrices)
 
 
+def mutate_entrywise(rows, k):
+    """Rows of [B; C] mutated at k (0-based) by the defining entry formula:
+    a_ij -> -a_ij when i or j is k, else a_ij + (|a_ik| b_kj + a_ik |b_kj|) / 2."""
+    pivot = rows[k]
+    return tuple(
+        tuple(
+            -v if k in (i, j) else v + (abs(row[k]) * pivot[j] + row[k] * abs(pivot[j])) // 2
+            for j, v in enumerate(row)
+        )
+        for i, row in enumerate(rows)
+    )
+
+
+def record_mutations(monkeypatch):
+    """Route ``cluster._mutate_b`` through a recorder; the returned list
+    gets the direction of every later call."""
+    calls = []
+    kernel = cluster._mutate_b
+    monkeypatch.setattr(cluster, "_mutate_b", lambda rows, k: calls.append(k) or kernel(rows, k))
+    return calls
+
+
 def relabelled(seed, rng):
     rows = seed.matrix.rows
     perm = rng.sample(range(len(rows)), len(rows))
@@ -178,6 +200,23 @@ class TestMatrixMutation:
             mutated = mutate_matrix(matrix, k)
             ExchangeMatrix(mutated.rows)  # revalidates skew-symmetry
             assert mutate_matrix(mutated, k) == matrix
+
+    def test_extended_kernel_matches_the_entry_rule(self):
+        # rectangular [B; C]: a_ik = +-1 and |a_ik| >= 2 of both signs all
+        # occur, and mutating twice at k restores the rows
+        rng = random.Random(27)
+        pivots = set()
+        for _ in range(300):
+            size = rng.randint(1, 6)
+            b = random_skew(rng, size, bound=4).rows
+            c = tuple(tuple(rng.randint(-4, 4) for _ in range(size)) for _ in range(rng.randint(0, 2 * size)))
+            rows = b + c
+            for k in range(size):
+                pivots.update(row[k] for row in rows)
+                mutated = _mutate_b(rows, k)
+                assert mutated == mutate_entrywise(rows, k)
+                assert _mutate_b(mutated, k) == rows
+        assert {-4, -2, -1, 1, 2, 4} <= pivots
 
     def test_direction_out_of_range(self):
         with pytest.raises(DirectionOutOfRange):
@@ -406,6 +445,18 @@ class TestEnumeration:
         expected = len(polygon_triangulations(vertices))
         assert enumerate_seeds(polygon_seed(vertices), 2000) == (expected, True)
 
+    @pytest.mark.parametrize("vertices", [4, 5, 6, 7, 8, 9])
+    def test_no_mutation_back_along_the_arrival_edge(self, vertices, monkeypatch):
+        # the start seed mutates in every direction, every later seed in all
+        # but the one it arrived by, which leads back to its parent
+        seed = polygon_seed(vertices)  # initial_seed mutates once itself
+        calls = record_mutations(monkeypatch)
+        seeds, finite = enumerate_seeds(seed, 2000)
+        rank = vertices - 3
+        assert finite and len(calls) == rank + (seeds - 1) * (rank - 1)
+        if vertices == 9:
+            assert len(calls) == 2146
+
     def test_torus_seed_infinite(self):
         assert enumerate_seeds(surface_seed(SurfaceSpec(1, 1)), 100) == (100, False)
 
@@ -591,6 +642,18 @@ class TestMutationTree:
         for level, matrix in enumerate(diagram.edge_matrices):
             assert len(matrix) == diagram.level_sizes[level]
             assert all(len(row) == diagram.level_sizes[level + 1] for row in matrix)
+
+    @pytest.mark.parametrize(
+        "seed", [polygon_seed(5), polygon_seed(8), surface_seed(SurfaceSpec(1, 1))], ids=["pentagon", "octagon", "torus"]
+    )
+    def test_child_along_the_arrival_edge_is_the_parent(self, seed, monkeypatch):
+        # unpruned, the child in the arrival direction is still an edge, but
+        # its rows are the parent's and cost no mutation
+        calls = record_mutations(monkeypatch)
+        for depth in range(1, 6):
+            calls.clear()
+            sizes = mutation_tree(seed, depth).level_sizes
+            assert len(calls) == seed.rank + sum(sizes[1:depth]) * (seed.rank - 1)
 
     def test_depth_guard(self):
         with pytest.raises(BudgetExceeded):

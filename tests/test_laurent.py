@@ -121,7 +121,12 @@ def edge_cube(width):
     bound c * (1 + c)^2 on the cube's coefficients is below 2^(8*width - 1):
     the cube packs in slots of ``width`` bytes, and its coefficient -c^3
     reaches near the bottom of them."""
-    c = next(c for c in itertools.count(1) if (c + 1) * (c + 2) ** 2 >= 2 ** (8 * width - 1))
+    bound = 2 ** (8 * width - 1)
+    c = round(bound ** (1 / 3))  # the cube root, then stepped to the exact bound
+    while c * (c + 1) ** 2 >= bound:
+        c -= 1
+    while (c + 1) * (c + 2) ** 2 < bound:
+        c += 1
     factor = LaurentFraction.from_polynomial(Polynomial(2, {(1, 0): 1, (0, 1): -c}))
     return [factor] * 3
 
@@ -304,6 +309,11 @@ class TestPolynomialRing:
             product = left * right
             assert product == naive_mul(left, right)
             assert product.evaluate(point) == left.evaluate(point) * right.evaluate(point)
+
+    def test_edge_cube_constants(self):
+        # the largest c with c * (1 + c)^2 < 2^(8 * width - 1), widths 1..9
+        constants = [-edge_cube(width)[0].numerator.terms[0, 1] for width in range(1, 10)]
+        assert constants == [4, 31, 202, 1289, 8191, 52015, 330280, 2097151, 13316084]
 
     def test_big_endian_slot_order(self, monkeypatch):
         # a host that is not little-endian has no cast formats, so every slot
