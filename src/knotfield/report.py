@@ -45,7 +45,7 @@ from .braid import BraidWord, free_reduce
 from .errors import BudgetExceeded
 from .invariant import FieldInvariant, field_of
 from .numfield import ideals_of_norm
-from .subgroups import INDEX_CAP
+from .subgroups import check_max_index
 
 # (1 -2)^400 at max_index 10 takes 5.7 * 10**6 steps, 0.15-0.18 s on CPython 3.11
 TUPLE_STEPS = 10_000_000
@@ -98,10 +98,7 @@ def correspondence_report(word: BraidWord, max_index: int) -> CorrespondenceRepo
 def normal_subgroup_counts(word: BraidWord, max_index: int) -> list[int]:
     """The number of normal subgroups of index 1, 2, ..., max_index of the
     fundamental group of the closure of ``word``."""
-    if max_index < 1:
-        raise ValueError("max_index must be at least 1")
-    if max_index > INDEX_CAP:
-        raise ValueError(f"max_index {max_index} exceeds the desk-scale cap {INDEX_CAP}")
+    check_max_index(max_index)
     letters = free_reduce(word).letters
     groups = [k for k, group in enumerate(SMALL_GROUPS) if group[1] <= max_index]
     steps = sum(SMALL_GROUPS[k][1] ** word.strands for k in groups) * (len(letters) + 1)

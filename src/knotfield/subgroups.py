@@ -25,6 +25,17 @@ that fails from one of its cosets fails from all of them, so this reaches
 the same closed table, or the same dead end, as rescanning every relator
 at every coset, and the search tree is unchanged.
 
+Each relator is scanned once up to rotation and inversion: one that is a
+rotation of an earlier relator, or of its inverse, is dropped.  A rotation
+has the same rotations, so only the inverse needs an argument.  Its cycle
+through a new edge alpha -col-> beta, traced from alpha, is the earlier
+relator's cycle walked backwards, which the earlier relator traces from
+beta starting with col^-1.  Both halves of every new edge are queued, and
+the two scans follow the same defined edges from the two ends of the new
+one, so they make the same deduction or find the same mismatch.  In
+Artin's presentation on 2 strands the second relator is a rotation of the
+inverse of the first.
+
 Conjugate subgroups differ only by the choice of base coset: renumbering
 a table from base b in the same row-major discovery order gives the table
 of the conjugate subgroup that fixes b, and every search table is already
@@ -36,6 +47,14 @@ renumbering prunes the branch, and only the least table of each class is
 ever completed.  A subgroup is normal exactly when it equals all of its
 conjugates, that is, when every base renumbers the completed table to
 itself.
+
+A base decided once stays decided.  When a renumbering is larger at some
+entry, every entry before it and the entry itself are defined, and
+entries are only ever added, so the same comparison holds in every
+completion.  A node therefore hands its children only the bases still
+equal so far, plus the coset it creates, with a flag that turns false for
+good once a base has compared larger; at a leaf the flag is the
+normality.
 
 Branch columns.  The search defines, compares and records only the
 first 2 * ``branch_generators`` columns of a presentation (all of them by
@@ -75,42 +94,64 @@ class SubgroupRecord:
     is_normal: bool
 
 
-def low_index_subgroups(presentation: GroupPresentation, max_index: int) -> list[SubgroupRecord]:
-    """All subgroups of index <= max_index up to conjugacy, sorted by index
-    and then by table."""
+def check_max_index(max_index) -> None:
+    """Refuse an index bound that is not an int from 1 to ``INDEX_CAP``."""
+    if isinstance(max_index, bool) or not isinstance(max_index, int):
+        raise ValueError(f"max_index must be an int, got {max_index!r}")
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
     if max_index > INDEX_CAP:
         raise ValueError(f"max_index {max_index} exceeds the desk-scale cap {INDEX_CAP}")
+
+
+def low_index_subgroups(presentation: GroupPresentation, max_index: int) -> list[SubgroupRecord]:
+    """All subgroups of index <= max_index up to conjugacy, sorted by index
+    and then by table."""
+    check_max_index(max_index)
     ncols = 2 * presentation.generator_count
     width = 2 * presentation.branch_generators
-    relator_cols = [_word_to_cols(r.letters()) for r in presentation.relators]
     rotations: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
-    for word in relator_cols:
+    cycles = set()
+    for relator in presentation.relators:
+        # column 2*(g-1) is generator g, column 2*(g-1)+1 its inverse
+        word = tuple(2 * (abs(k) - 1) + (0 if k > 0 else 1) for k in relator.letters())
+        if word in cycles:
+            continue
+        inverse = tuple(col ^ 1 for col in reversed(word))
         for k, col in enumerate(word):
             rotations[col].append(word[k:] + word[:k])
-    # a one-letter relator passes through no edge of a fresh coset, so it is
-    # scanned from every queue entry instead
-    singles = [word for word in relator_cols if len(word) == 1]
-    rotations = [list(dict.fromkeys(words + singles)) for words in rotations]
+            cycles.update((word[k:] + word[:k], inverse[k:] + inverse[:k]))
+    # a one-letter relator c passes through no edge of a fresh coset, so it is
+    # scanned from every queue entry (alpha, col) as the freely equal col col^-1 c
+    singles = [word[0] for words in rotations for word in words if len(word) == 1]
+    rotations = [
+        list(dict.fromkeys(words + [(col, col ^ 1, c) for c in singles if c != col]))
+        for col, words in enumerate(rotations)
+    ]
 
     records: list[SubgroupRecord] = []
     budget = [NODE_BUDGET, NODE_BUDGET]  # remaining, total
     table: list[list[int | None]] = [[None] * ncols]
-    _search(table, width, rotations, max_index, budget, records)
+    _search(table, width, rotations, max_index, budget, records, [], True)
     records.sort(key=lambda r: (r.index, r.coset_table))
     return records
 
 
-def _word_to_cols(letters: list[int]) -> tuple[int, ...]:
-    # column 2*(g-1) is generator g, column 2*(g-1)+1 its inverse
-    return tuple(2 * (abs(k) - 1) + (0 if k > 0 else 1) for k in letters)
-
-
-def _search(table, width, rotations, max_index, budget, out):
-    normal = _minimal(table, width)
-    if normal is None:
-        return
+def _search(table, width, rotations, max_index, budget, out, bases, normal):
+    """Extend ``table`` in every way.  ``bases`` are the cosets whose
+    renumbering has matched the table so far; ``normal`` is False once one
+    has renumbered it larger."""
+    undecided = []
+    if bases:
+        view = table if width == len(table[0]) else [row[:width] for row in table]
+        for base in bases:
+            sign = _compare_renumbered(view, base)
+            if sign < 0:
+                return
+            if sign > 0:
+                normal = False
+            else:
+                undecided.append(base)
     slot = _first_undefined(table, width)
     if slot is None:
         if any(None in row for row in table):
@@ -121,6 +162,7 @@ def _search(table, width, rotations, max_index, budget, out):
     candidates = [beta for beta in range(len(table)) if table[beta][col ^ 1] is None]
     if len(table) < max_index:
         candidates.append(len(table))
+    grown = undecided + [len(table)]
     for beta in candidates:
         budget[0] -= 1
         if budget[0] < 0:
@@ -134,7 +176,7 @@ def _search(table, width, rotations, max_index, budget, out):
             table.append([None] * len(table[0]))
         _define(table, alpha, col, beta, trail)
         if _close_under_relators(table, rotations, trail):
-            _search(table, width, rotations, max_index, budget, out)
+            _search(table, width, rotations, max_index, budget, out, grown if new_row else undecided, normal)
         for a, c in reversed(trail):
             table[a][c] = None
         if new_row:
@@ -163,56 +205,45 @@ def _define(table, alpha, col, beta, trail):
 
 def _close_under_relators(table, rotations, trail) -> bool:
     """Walk ``trail`` as a deduction queue: for each entry (alpha, col),
-    scan every relator rotation in ``rotations[col]`` from alpha.
-    Deductions append to ``trail`` and are reached in turn.  False at the
-    first mismatch, True once the queue is drained."""
+    trace every relator rotation in ``rotations[col]`` from alpha at both
+    ends, and fill the edge between the ends when exactly one is missing.
+    Every rotation starts with the defined edge (alpha, col).  Deductions
+    append to ``trail`` and are reached in turn.  False at the first
+    mismatch, True once the queue is drained."""
     for alpha, col in trail:
+        beta = table[alpha][col]
+        beta_row = table[beta]
         for word in rotations[col]:
-            if not _scan(table, alpha, word, trail):
-                return False
+            length = len(word)
+            f = beta
+            row = beta_row
+            i = 1
+            while i < length:
+                target = row[word[i]]
+                if target is None:
+                    break
+                f = target
+                row = table[f]
+                i += 1
+            else:
+                if f != alpha:
+                    return False
+                continue
+            b = alpha
+            j = length - 1
+            while j > i:
+                target = table[b][word[j] ^ 1]
+                if target is None:
+                    break
+                b = target
+                j -= 1
+            else:
+                # one missing edge with both endpoints known: forced unless
+                # b's slot is taken, which is a mismatch
+                if table[b][word[i] ^ 1] is not None:
+                    return False
+                _define(table, f, word[i], b, trail)
     return True
-
-
-def _scan(table, start, word, trail) -> bool:
-    """Trace ``word`` from ``start`` at both ends, filling the edge between
-    them when exactly one is missing; False on a mismatch."""
-    length = len(word)
-    f = start
-    i = 0
-    while i < length and table[f][word[i]] is not None:
-        f = table[f][word[i]]
-        i += 1
-    if i == length:
-        return f == start
-    b = start
-    j = length
-    while j > i and table[b][word[j - 1] ^ 1] is not None:
-        b = table[b][word[j - 1] ^ 1]
-        j -= 1
-    if j == i:
-        return f == b
-    if j == i + 1:
-        # one missing edge with both endpoints known, both slots free: forced definition
-        _define(table, f, word[i], b, trail)
-    return True
-
-
-def _minimal(table, width):
-    """Sims' minimality test on a partial table.  None when renumbering from
-    some base coset gives a smaller table, so no completion is canonical;
-    otherwise whether every base renumbered the defined entries to
-    themselves, which on a complete table means the subgroup is normal.
-    Only the branch columns are compared."""
-    if width < len(table[0]):
-        table = [row[:width] for row in table]
-    normal = True
-    for base in range(1, len(table)):
-        sign = _compare_renumbered(table, base)
-        if sign < 0:
-            return None
-        if sign > 0:
-            normal = False
-    return normal
 
 
 def _compare_renumbered(table, base) -> int:
@@ -233,12 +264,3 @@ def _compare_renumbered(table, base) -> int:
             if renumbered != row[col]:
                 return -1 if renumbered < row[col] else 1
     return 0
-
-
-def trace_word(table: tuple[tuple[int, ...], ...], start: int, letters: list[int]) -> int:
-    """Follow a word through a complete coset table; used by consumers to
-    verify that relators act trivially."""
-    coset = start
-    for col in _word_to_cols(letters):
-        coset = table[coset][col]
-    return coset

@@ -32,7 +32,7 @@ from knotfield.cluster import (
 from knotfield.freegroup import FreeWord
 from knotfield.invariant import field_of, monodromy
 from knotfield.numfield import ideal_chain, make_field, split_prime
-from knotfield.subgroups import low_index_subgroups, trace_word
+from knotfield.subgroups import low_index_subgroups
 
 TORUS_MATRIX = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
 
@@ -53,6 +53,15 @@ def random_braid(rng, strands, max_len):
         g = rng.randint(1, strands - 1)
         letters.append(g if rng.random() < 0.5 else -g)
     return BraidWord(strands, tuple(letters))
+
+
+def trace_word(table, start, letters):
+    """Follow a word through a complete coset table, whose column 2*(g-1)
+    is generator g and column 2*(g-1)+1 its inverse."""
+    coset = start
+    for k in letters:
+        coset = table[coset][2 * (abs(k) - 1) + (0 if k > 0 else 1)]
+    return coset
 
 
 def test_01_field_table_rows():

@@ -212,6 +212,11 @@ def test_tables_are_built_on_first_use():
     assert done.stdout.split() == ["0", "5"]
 
 
+def test_max_index_must_be_an_int():
+    with pytest.raises(ValueError, match=r"^max_index must be an int, got 2\.5$"):
+        correspondence_report(BraidWord(3, (1, -2)), 2.5)
+
+
 def test_remainder_is_an_internal_error(monkeypatch):
     # the unknot's group Z has two epimorphisms onto C3, not a multiple of 4
     groups = list(SMALL_GROUPS)

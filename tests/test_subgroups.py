@@ -11,6 +11,7 @@ against a copy of the closure that rescans every relator at every coset.
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -24,7 +25,7 @@ from knotfield.errors import BudgetExceeded
 from knotfield import report, subgroups
 from knotfield.freegroup import FreeWord
 from knotfield.report import normal_subgroup_counts
-from knotfield.subgroups import SubgroupRecord, low_index_subgroups, trace_word
+from knotfield.subgroups import SubgroupRecord, low_index_subgroups
 
 
 # -- oracle --------------------------------------------------------------------
@@ -279,6 +280,13 @@ class TestDeductionQueue:
         # branching on the x columns only
         (arc_presentation(BraidWord(3, (-1, 2, -1, 2, 2))), 5),
         (arc_presentation(BraidWord(2, (1, 1, 1))), 5),
+        # on 2 strands Artin's second relator is a rotation of the first's inverse
+        (link_group_presentation(BraidWord(2, (1, 1, 1, 1, 1))), 6),
+        (link_group_presentation(BraidWord(2, (1, 1, 1))), 6),
+        # a rotation of w^-1 and w again beside w = x1 x2 x1^-1 x2 x2
+        (presentation_from_letters(2, [[1, 2, -1, 2, 2], [-2, 1, -2, -1, -2], [1, 2, -1, 2, 2]]), 5),
+        # the reverse of a word is not its inverse, and is kept
+        (presentation_from_letters(3, [[-2, 1, 2, -3], [-3, 2, 1, -2]]), 3),
     ]
 
     @pytest.mark.parametrize("presentation, max_index", CORPUS)
@@ -296,6 +304,47 @@ class TestDeductionQueue:
             low_index_subgroups(presentation, max_index)
         monkeypatch.setattr(subgroups, "NODE_BUDGET", nodes)
         assert low_index_subgroups(presentation, max_index) == expected
+
+    def test_minimality_work(self, monkeypatch):
+        # a base compared larger or smaller is not compared again below that node
+        calls = [0]
+        compare = subgroups._compare_renumbered
+
+        def counted(table, base):
+            calls[0] += 1
+            return compare(table, base)
+
+        monkeypatch.setattr(subgroups, "_compare_renumbered", counted)
+        records = low_index_subgroups(link_group_presentation(BraidWord(2, (1, 1, 1, 1, 1))), 8)
+        assert len(records) == 35
+        assert calls[0] == 20963
+
+    def test_rotated_inverse_relators_match_oracle(self):
+        rng = random.Random(28)
+        checked = 0
+        while checked < 25:
+            rank = rng.randint(1, 2)
+            letters = (1, -1, 2, -2)[: 2 * rank]
+            length = rng.randint(1, 6)
+            word = [rng.choice(letters)]
+            while len(word) < length:
+                letter = rng.choice(letters)
+                if letter != -word[-1]:
+                    word.append(letter)
+            if word[-1] == -word[0] and len(word) > 1:
+                continue
+            inverse = [-k for k in reversed(word)]
+            k = rng.randrange(len(word))
+            relators = [word, inverse[k:] + inverse[:k]]
+            if rng.random() < 0.5:
+                relators.append([rng.choice(letters) for _ in range(rng.randint(1, 3))])
+            rng.shuffle(relators)
+            pres = presentation_from_letters(rank, relators)
+            records = low_index_subgroups(pres, 4)
+            for index in range(1, 5):
+                ours = len([r for r in records if r.index == index])
+                assert ours == oracle_class_count(pres, index), (relators, index)
+            checked += 1
 
     def test_proper_power_gives_one_normal_class_per_divisor(self):
         # <x1 | x1^6> is cyclic of order 6: one subgroup per divisor
@@ -418,10 +467,13 @@ class TestUnknotPresentation:
 class TestRecordInvariants:
     @pytest.mark.parametrize("presentation", [TREFOIL, FREE_2, FIGURE_EIGHT])
     def test_relators_act_trivially(self, presentation):
+        rank = presentation.generator_count
+        relators = [r.letters() for r in presentation.relators]
         for record in low_index_subgroups(presentation, 4):
-            for relator in presentation.relators:
-                for coset in range(record.index):
-                    assert trace_word(record.coset_table, coset, relator.letters()) == coset
+            table = record.coset_table
+            assert all(table[row[2 * g]][2 * g + 1] == c for c, row in enumerate(table) for g in range(rank))
+            images = tuple(tuple(row[2 * g] for row in table) for g in range(rank))
+            assert _satisfies(images, relators, record.index)
 
     def test_tables_are_permutation_actions(self):
         for record in low_index_subgroups(TREFOIL, 4):
@@ -465,6 +517,13 @@ class TestGuards:
     def test_bad_max_index(self):
         with pytest.raises(ValueError):
             low_index_subgroups(FREE_2, 0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_max_index_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match=f"^max_index must be an int, got {re.escape(repr(value))}$"):
+            low_index_subgroups(FREE_2, value)
+        with pytest.raises(ValueError, match=f"^max_index must be an int, got {re.escape(repr(value))}$"):
+            normal_subgroup_counts(BraidWord(3, (1, -2)), value)
 
 
 def test_random_presentations_match_oracle():
