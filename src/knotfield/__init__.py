@@ -23,7 +23,6 @@ from .artin import (
     GroupPresentation,
     abelianization,
     arc_presentation,
-    artin_generator,
     artin_rep,
     link_group_presentation,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "closure_components",
     "FreeWord",
     "FreeAutomorphism",
-    "artin_generator",
     "artin_rep",
     "GroupPresentation",
     "link_group_presentation",

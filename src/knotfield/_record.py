@@ -4,11 +4,9 @@
 methods with the meaning of ``@dataclass(frozen=True)``: ``__init__`` takes
 the fields positionally or by keyword, fills defaults given as class values,
 then calls ``__post_init__`` if the class has one; ``__eq__`` and
-``__hash__`` use the tuple of compared fields; ``__repr__`` reads
+``__hash__`` use the tuple of fields; ``__repr__`` reads
 ``Name(a=..., b=...)``; assigning or deleting an attribute raises
-``AttributeError``.  A field whose name starts with ``_`` is private: it takes
-no argument, is neither compared nor shown, and reads as its class value
-until set.
+``AttributeError``.
 
 ``dataclasses`` compiles its generated methods with ``exec`` on every
 import, bytecode cache or not, and pulls in ``inspect``; for two dozen
@@ -52,9 +50,6 @@ class _DataclassFields:
         import dataclasses
 
         spec = {name: cls.__dict__[name] for name in cls.__annotations__ if name in cls.__dict__}
-        for name in spec:
-            if name.startswith("_"):
-                spec[name] = dataclasses.field(default=spec[name], init=False, repr=False, compare=False)
         twin = type(cls.__name__, (), {"__annotations__": cls.__annotations__, **spec})
         cls.__dataclass_fields__ = dataclasses.dataclass(frozen=True)(twin).__dataclass_fields__
         return cls.__dataclass_fields__
@@ -62,7 +57,7 @@ class _DataclassFields:
 
 def record(cls):
     """Make ``cls`` a frozen record of its annotated fields."""
-    fields = tuple(name for name in cls.__annotations__ if not name.startswith("_"))
+    fields = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
     arity = len(fields)
     post_init = getattr(cls, "__post_init__", None)

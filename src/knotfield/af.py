@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import chain
 
 from ._record import record
 from .errors import BudgetExceeded, DeadVertex, FloatOverflow, NotPrimitive, integer_rows
@@ -291,7 +290,7 @@ class BratteliDiagram:
         for level, mat in enumerate(self.edge_matrices):
             if len(mat) != self.level_sizes[level] or not set(map(len, mat)) <= {self.level_sizes[level + 1]}:
                 raise ValueError(f"edge matrix {level} has the wrong shape")
-            if min(chain.from_iterable(mat), default=0) < 0:
+            if min(map(min, filter(None, mat)), default=0) < 0:
                 raise ValueError("edge multiplicities must be nonnegative")
 
 

@@ -38,22 +38,12 @@ from __future__ import annotations
 
 from ._record import record
 from .braid import BraidWord, free_reduce
-from .errors import BudgetExceeded, IndexOutOfRange
+from .errors import BudgetExceeded
 from .freegroup import FreeAutomorphism, FreeWord
 from .smith import smith_invariants
 
 
 MAX_RELATOR_LETTERS = 100_000
-
-
-def artin_generator(index: int, sign: int, strands: int) -> FreeAutomorphism:
-    """The automorphism of the rank-``strands`` free group attached to
-    s_index (sign=+1) or its inverse (sign=-1)."""
-    if not 1 <= index <= strands - 1:
-        raise IndexOutOfRange(f"generator index {index} outside 1..{strands - 1}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return artin_rep(BraidWord(strands, (sign * index,)))
 
 
 def artin_rep(word: BraidWord) -> FreeAutomorphism:

@@ -24,9 +24,10 @@ from .freegroup import FreeWord
 
 _ALIAS = re.compile(r"s([0-9]+)(?:\^(-?[0-9]+))?")
 
-# no braid word is built longer than this, so a short text cannot ask for
-# gigabytes of letters
+# no braid word is built longer or on more strands than this, so a short
+# text cannot ask for gigabytes of letters or strand positions
 MAX_LETTERS = 10**6
+MAX_STRANDS = 10**6
 
 
 def check_length(count: int) -> None:
@@ -45,6 +46,8 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError(f"strand count must be positive, got {self.strands}")
+        if self.strands > MAX_STRANDS:
+            raise BudgetExceeded(f"braid on {self.strands} strands exceeds the limit of {MAX_STRANDS}")
         object.__setattr__(self, "letters", tuple(self.letters))
         for k in self.letters:
             if k == 0 or abs(k) >= self.strands:

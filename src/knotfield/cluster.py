@@ -135,9 +135,9 @@ class Seed:
     matrix: ExchangeMatrix
     # True only on seeds from initial_seed on +-B0 and from the Markov route,
     # whose variables satisfy (x1^2 + x2^2 + x3^2) / (x1 x2 x3) = _MARKOV.  A
-    # seed equal to a flagged one satisfies it too, so equality ignores it
-    # (the leading underscore keeps it out of __init__, ==, hash and repr).
-    _markov: bool = False
+    # seed equal to a flagged one satisfies it too, so it is a plain class
+    # attribute, not a field: __init__, ==, hash and repr ignore it.
+    _markov = False
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))

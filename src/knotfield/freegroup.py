@@ -73,13 +73,8 @@ class FreeWord:
         return FreeWord(self.rank, tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "FreeWord":
-        if n == 0:
-            return FreeWord.identity(self.rank)
         base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        return FreeWord(self.rank, base.syllables * abs(n))
 
     def exponent_sums(self) -> tuple[int, ...]:
         """Abelianized image: total exponent of each generator."""
@@ -123,8 +118,3 @@ class FreeAutomorphism:
             for _ in range(abs(exp)):
                 parts.extend(img.syllables)
         return FreeWord(self.rank, tuple(parts))
-
-    def is_identity(self) -> bool:
-        return all(
-            img.syllables == ((i, 1),) for i, img in enumerate(self.images, start=1)
-        )

@@ -71,7 +71,11 @@ The index cap (10) keeps requests at desk scale, and the node budget
 for runaway searches: the figure-eight knot group at index <= 10 tries
 about 1.5 * 10**5 on Artin's relators and 5.3 * 10**4 on its arc
 presentation.  The refusal names the index of the partial table at which
-the search stood.
+the search stood.  The search keeps every rotation of every relator, L
+rotations of L letters for a relator of L letters, so a presentation whose
+squared relator lengths sum past ``ROTATION_LETTERS`` (2 * 10**7, read at
+each call) is refused before anything is built: the rotations of Artin's
+relators of ``(1 -2)^9`` would hold 1.07 * 10**8 letters and need gigabytes.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ from .errors import BudgetExceeded
 
 INDEX_CAP = 10
 NODE_BUDGET = 1_000_000
+ROTATION_LETTERS = 20_000_000
 
 
 @record
@@ -108,6 +113,9 @@ def low_index_subgroups(presentation: GroupPresentation, max_index: int) -> list
     """All subgroups of index <= max_index up to conjugacy, sorted by index
     and then by table."""
     check_max_index(max_index)
+    letters = sum(sum(abs(e) for _, e in r.syllables) ** 2 for r in presentation.relators)
+    if letters > ROTATION_LETTERS:
+        raise BudgetExceeded(f"relator rotations of {letters} letters exceed the limit of {ROTATION_LETTERS}")
     ncols = 2 * presentation.generator_count
     width = 2 * presentation.branch_generators
     rotations: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]

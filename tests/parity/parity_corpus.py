@@ -56,6 +56,7 @@ def argv_corpus() -> list[list[str]]:
         for action in ("components", "normalize"):
             corpus += _formats(["braid", action, word])
     corpus += [["--strands", "0", "braid", "components", "1"], ["--strands", "-2", "braid", "normalize", ""]]
+    corpus += [["--strands", "99999999999999999999", "braid", "components", "1"]]
     corpus += [["braid", "components", "s1^1000000000000"], ["braid", "components", "s1^" + "9" * 5000]]
 
     # linkgroup present / abelianize / subgroups

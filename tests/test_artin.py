@@ -15,12 +15,11 @@ from knotfield.artin import (
     GroupPresentation,
     abelianization,
     arc_presentation,
-    artin_generator,
     artin_rep,
     link_group_presentation,
 )
 from knotfield.braid import BraidWord, closure_components, markov_conjugate
-from knotfield.errors import BudgetExceeded, IndexOutOfRange
+from knotfield.errors import BudgetExceeded, GeneratorOutOfRange
 from knotfield.freegroup import FreeWord
 
 
@@ -69,6 +68,10 @@ def oracle_artin_images(braid: BraidWord):
     return current
 
 
+def is_identity(auto):
+    return auto.images == tuple(FreeWord.generator(g, auto.rank) for g in range(1, auto.rank + 1))
+
+
 def random_word(rng, strands, max_len=10):
     letters = []
     for _ in range(rng.randint(0, max_len)):
@@ -82,17 +85,17 @@ def random_word(rng, strands, max_len=10):
 
 class TestArtinGenerator:
     def test_positive_images(self):
-        gen = artin_generator(1, 1, 2)
+        gen = artin_rep(BraidWord(2, (1,)))
         assert gen.images[0] == FreeWord.from_letters(2, [1, 2, -1])
         assert gen.images[1] == FreeWord.generator(1, 2)
 
     def test_negative_images(self):
-        gen = artin_generator(1, -1, 2)
+        gen = artin_rep(BraidWord(2, (-1,)))
         assert gen.images[0] == FreeWord.generator(2, 2)
         assert gen.images[1] == FreeWord.from_letters(2, [-2, 1, 2])
 
     def test_outside_support_fixed(self):
-        gen = artin_generator(1, 1, 3)
+        gen = artin_rep(BraidWord(3, (1,)))
         assert gen.images[2] == FreeWord.generator(3, 3)
 
     def test_inverse_composes_to_identity(self):
@@ -100,26 +103,25 @@ class TestArtinGenerator:
             for i in range(1, n):
                 for pair in ((i, -i), (-i, i)):
                     auto = artin_rep(BraidWord(n, pair))
-                    assert auto.is_identity()
+                    assert is_identity(auto)
                     expected = oracle_artin_images(BraidWord(n, pair))
                     assert [image.letters() for image in auto.images] == [expected[g] for g in range(1, n + 1)]
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            artin_generator(3, 1, 3)
-        with pytest.raises(IndexOutOfRange):
-            artin_generator(0, 1, 3)
+        for letter in (3, -3, 0):
+            with pytest.raises(GeneratorOutOfRange):
+                artin_rep(BraidWord(3, (letter,)))
 
 
 class TestArtinRep:
     def test_empty_braid(self):
-        assert artin_rep(BraidWord(3, ())).is_identity()
+        assert is_identity(artin_rep(BraidWord(3, ())))
 
     def test_inverse_pair(self):
-        assert artin_rep(BraidWord(3, (1, -1))).is_identity()
+        assert is_identity(artin_rep(BraidWord(3, (1, -1))))
 
     def test_triple_twist_matches_generator_cube(self):
-        phi = artin_generator(1, 1, 2)
+        phi = artin_rep(BraidWord(2, (1,)))
         cube = tuple(phi.apply(phi.apply(image)) for image in phi.images)
         assert artin_rep(BraidWord(2, (1, 1, 1))).images == cube
 
@@ -292,8 +294,6 @@ class TestAbelianization:
 
 
 def test_input_checks():
-    with pytest.raises(ValueError, match="sign"):
-        artin_generator(1, 2, 3)
     with pytest.raises(ValueError, match="rank"):
         GroupPresentation(2, (FreeWord.generator(1, 3),))
     assert str(GroupPresentation(2, ())) == "⟨x1, x2 |⟩"

@@ -116,6 +116,14 @@ def test_long_braid_words_are_refused_in_time(args):
     assert done.stderr.startswith("BudgetExceeded: ") and done.stderr.count("\n") == 1
 
 
+def test_strand_count_is_refused_in_time():
+    # range() of this many strands raised OverflowError; 10**6 strands already take about 107 MiB
+    done = _run(["--strands", "99999999999999999999", "braid", "components", "1"], deadline=2)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "BudgetExceeded: braid on 99999999999999999999 strands exceeds the limit of 1000000\n"
+
+
 def test_deep_torus_mutation_is_refused_in_time():
     # step 12 of the path 1,2,3,... has an operand of 20737 terms; step 11
     # answers in about 2 s (CPython 3.11, 2 vCPUs)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from knotfield.braid import (
+    MAX_STRANDS,
     BraidWord,
     Permutation,
     closure_components,
@@ -12,7 +13,7 @@ from knotfield.braid import (
     stabilize,
     underlying_permutation,
 )
-from knotfield.errors import GeneratorOutOfRange, MalformedToken, StrandMismatch
+from knotfield.errors import BudgetExceeded, GeneratorOutOfRange, MalformedToken, StrandMismatch
 
 
 def random_word(rng, strands, max_len=12):
@@ -223,6 +224,18 @@ def test_letter_validation():
         BraidWord(3, (3,))
     with pytest.raises(GeneratorOutOfRange):
         BraidWord(2, (0,))
+
+
+def test_strand_limit():
+    assert MAX_STRANDS == 10**6
+    assert BraidWord(MAX_STRANDS, (1,)).strands == MAX_STRANDS
+    message = "^braid on 1000001 strands exceeds the limit of 1000000$"
+    with pytest.raises(BudgetExceeded, match=message):
+        BraidWord(MAX_STRANDS + 1, ())
+    with pytest.raises(BudgetExceeded, match=message):
+        stabilize(BraidWord(MAX_STRANDS, ()))
+    with pytest.raises(BudgetExceeded, match="^braid on 99999999999999999999 strands"):
+        parse_braid("1", 99999999999999999999)
 
 
 def test_input_checks():

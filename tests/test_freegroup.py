@@ -50,6 +50,21 @@ class TestFreeWord:
         assert (w**-1) == w.inverse()
         assert (w**0).is_identity()
 
+    def test_power_matches_repeated_products(self):
+        rng = random.Random(17)
+        # conjugates and syllables that merge across the join of two copies
+        words = [FreeWord.from_letters(2, [1, 2, -1]), FreeWord.from_letters(2, [1, 2, 1])]
+        words += [random_free_word(rng, 3) for _ in range(50)]
+        for w in words:
+            one = FreeWord.identity(w.rank)
+            for n in range(-3, 4):
+                factor = w if n > 0 else w.inverse()
+                expected = one
+                for _ in range(abs(n)):
+                    expected = expected * factor
+                assert w**n == expected
+                assert w**-n == expected.inverse()
+
     def test_associativity(self):
         rng = random.Random(13)
         for _ in range(200):

@@ -49,20 +49,15 @@ def _samples():
 SAMPLES = {type(sample): sample for sample in _samples()}
 
 
-def _public(cls):
-    return [name for name in cls.__annotations__ if not name.startswith("_")]
+def _fields(cls):
+    return list(cls.__annotations__)
 
 
 def _dataclass_twin(record):
     """``record``'s values in a stdlib frozen dataclass of the same name and fields."""
     cls = type(record)
-    spec = [
-        (name, object, dataclasses.field(default=getattr(cls, name), init=False, repr=False, compare=False))
-        if name.startswith("_") else (name, object)
-        for name in cls.__annotations__
-    ]
-    twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
-    return twin(**{name: getattr(record, name) for name in _public(cls)})
+    twin = dataclasses.make_dataclass(cls.__name__, [(name, object) for name in _fields(cls)], frozen=True)
+    return twin(**{name: getattr(record, name) for name in _fields(cls)})
 
 
 def test_every_record_class_has_a_sample():
@@ -84,12 +79,12 @@ class TestRecord:
     def test_matches_the_dataclass(self, cls):
         record, twin = SAMPLES[cls], _dataclass_twin(SAMPLES[cls])
         assert repr(record) == repr(twin)
-        assert hash(record) == hash(twin) == hash(tuple(getattr(record, name) for name in _public(cls)))
+        assert hash(record) == hash(twin) == hash(tuple(getattr(record, name) for name in _fields(cls)))
 
     def test_equality_stays_in_the_class(self, cls):
         record = SAMPLES[cls]
-        values = [getattr(record, name) for name in _public(cls)]
-        assert record == cls(*values) == cls(**dict(zip(_public(cls), values)))
+        values = [getattr(record, name) for name in _fields(cls)]
+        assert record == cls(*values) == cls(**dict(zip(_fields(cls), values)))
         assert not record != cls(*values)
         assert record != _dataclass_twin(record)
         assert record != tuple(values)
@@ -97,8 +92,8 @@ class TestRecord:
         assert record != other
 
     def test_constructor_arguments(self, cls):
-        values = [getattr(SAMPLES[cls], name) for name in _public(cls)]
-        first = _public(cls)[0]
+        values = [getattr(SAMPLES[cls], name) for name in _fields(cls)]
+        first = _fields(cls)[0]
         with pytest.raises(TypeError, match="missing"):
             cls()
         with pytest.raises(TypeError, match="arguments but"):

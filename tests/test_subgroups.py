@@ -510,6 +510,24 @@ class TestGuards:
         ):
             low_index_subgroups(FREE_2, 4)
 
+    def test_rotation_limit(self, monkeypatch):
+        # relators of 4 and 3 letters hold 4**2 + 3**2 letters in their rotations
+        presentation = presentation_from_letters(2, [[1, 2, -1, -2], [1, 1, 1]])
+        monkeypatch.setattr(subgroups, "ROTATION_LETTERS", 25)
+        assert low_index_subgroups(presentation, 3)
+        monkeypatch.setattr(subgroups, "ROTATION_LETTERS", 24)
+        with pytest.raises(BudgetExceeded, match="^relator rotations of 25 letters exceed the limit of 24$"):
+            low_index_subgroups(presentation, 3)
+
+    def test_long_artin_relators_are_refused_before_the_search(self):
+        # Artin's relators of (1 -2)^9 hold 8360, 3194 and 5170 letters, 6.9 times
+        # the squared lengths of (1 -2)^8, whose search at index 2 peaks near 380 MiB
+        presentation = link_group_presentation(BraidWord(3, (1, -2) * 9))
+        with pytest.raises(
+            BudgetExceeded, match="^relator rotations of 106820136 letters exceed the limit of 20000000$"
+        ):
+            low_index_subgroups(presentation, 2)
+
     def test_index_cap(self):
         with pytest.raises(ValueError):
             low_index_subgroups(FREE_2, 11)
