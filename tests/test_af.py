@@ -144,7 +144,7 @@ class TestCharPoly:
             for qq in range(1, 8):
                 matrix = IncidenceMatrix(((pp * qq + 1, pp), (qq, 1)))
                 assert char_poly(matrix) == (1, -(pp * qq + 2), 1)
-                assert matrix.determinant() == 1
+                assert (-1) ** matrix.size * char_poly(matrix)[0] == 1
 
     def test_against_sympy_random(self):
         rng = random.Random(60)
@@ -154,7 +154,7 @@ class TestCharPoly:
             ours = char_poly(IncidenceMatrix(rows))
             theirs = sympy.Matrix(rows).charpoly().all_coeffs()  # high -> low
             assert list(ours) == [int(c) for c in reversed(theirs)]
-            assert IncidenceMatrix(rows).determinant() == sympy.Matrix(rows).det()
+            assert (-1) ** n * ours[0] == sympy.Matrix(rows).det()
 
 
 class TestQuadraticSurd:
@@ -188,6 +188,15 @@ class TestPerron:
     def test_not_primitive(self):
         with pytest.raises(NotPrimitive):
             perron(IncidenceMatrix(((2, 0), (0, 3))))
+
+    def test_size_limit(self):
+        # the size is checked first, before the primitivity test and char_poly
+        ones = ((1,) * 65,) * 65
+        with pytest.raises(BudgetExceeded, match="^Perron root of a 65x65 matrix exceeds the size limit of 64$"):
+            perron(IncidenceMatrix(ones))
+        with pytest.raises(BudgetExceeded):
+            dimension_group(IncidenceMatrix(ones))
+        assert perron(IncidenceMatrix(((1,) * 64,) * 64)).eigenvalue == 64.0
 
     def test_exact_on_grid(self):
         for pp, qq in _GRID:

@@ -227,3 +227,27 @@ def test_large_cluster_seeds_are_refused_in_time(args, deadline):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("BudgetExceeded: ") and done.stderr.count("\n") == 1
+
+
+def _ones(n: int) -> str:
+    return ";".join([",".join(["1"] * n)] * n)
+
+
+@pytest.mark.parametrize("size", [65, 200])
+def test_large_perron_matrix_is_refused_in_time(size):
+    # a 120x120 matrix of entries 0..3 took 33 s, most of it in the Sturm sequence
+    done = _run(["af", "perron", "--matrix", _ones(size)], deadline=2)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"BudgetExceeded: Perron root of a {size}x{size} matrix exceeds the size limit of 64\n"
+
+
+def test_laurent_check_trials_are_refused_in_time():
+    # the trial loop once ran without end on this count
+    done = _run(["cluster", "laurent-check", "--trials", "99999999999999999999"], deadline=2)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        "BudgetExceeded: laurent-check of 99999999999999999999 trials at depth 8 exceeds the limit "
+        "of 10000 mutation steps\n"
+    )

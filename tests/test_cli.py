@@ -238,10 +238,14 @@ class TestUsageErrors:
         ],
     )
     def test_max_index_out_of_range(self, argv, value):
+        # the text of subgroups.check_max_index, which both commands call
         result = run(argv)
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr == f"usage error: --max-index must be between 1 and 10, got {value}\n"
+        if value == "0":
+            assert result.stderr == "usage error: max_index must be at least 1\n"
+        else:
+            assert result.stderr == f"usage error: max_index {value} exceeds the desk-scale cap 10\n"
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -594,12 +594,6 @@ class TestPolygonAndSurfaceSeeds:
         assert seed.matrix == ExchangeMatrix(TORUS_MATRIX)
         assert seed.rank == 3
 
-    def test_surface_ranks(self):
-        spec = SurfaceSpec(1, 1)
-        assert spec.cluster_rank == 3
-        assert spec.af_rank == 2
-        assert SurfaceSpec(0, 3).cluster_rank == 3
-
     def test_unsupported_surfaces(self):
         with pytest.raises(UnsupportedSurface):
             SurfaceSpec(0, 1)

@@ -217,6 +217,12 @@ def test_max_index_must_be_an_int():
         correspondence_report(BraidWord(3, (1, -2)), 2.5)
 
 
+def test_max_index_is_checked_before_the_field():
+    # s1 is not hyperbolic, but the out-of-range bound is the error reported
+    with pytest.raises(ValueError, match="^max_index must be at least 1$"):
+        correspondence_report(BraidWord(3, (1,)), 0)
+
+
 def test_remainder_is_an_internal_error(monkeypatch):
     # the unknot's group Z has two epimorphisms onto C3, not a multiple of 4
     groups = list(SMALL_GROUPS)
