@@ -104,7 +104,7 @@ def check_max_index(max_index) -> None:
     if isinstance(max_index, bool) or not isinstance(max_index, int):
         raise ValueError(f"max_index must be an int, got {max_index!r}")
     if max_index < 1:
-        raise ValueError("max_index must be at least 1")
+        raise ValueError(f"max_index must be at least 1, got {max_index}")
     if max_index > INDEX_CAP:
         raise ValueError(f"max_index {max_index} exceeds the desk-scale cap {INDEX_CAP}")
 

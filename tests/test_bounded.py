@@ -178,7 +178,8 @@ def test_subgroups_node_budget_is_reached_in_time():
 
 def test_correspondence_report_to_index_ten_is_bounded():
     # a normal-only coset search took 93.5 s on Artin's relators and about 2 s
-    # on the arc presentation; the count answers in about 0.12 s (CPython 3.11, 2 vCPUs)
+    # on the arc presentation; the count answers in about 0.08 s, nearly all of
+    # it interpreter start-up (CPython 3.11, 2 vCPUs)
     done = _run(["report", "correspondence", "--braid", "-1 2 -1 2 2", "--max-index", "10"], deadline=30)
     assert done.returncode == 0, done.stderr
 

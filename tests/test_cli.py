@@ -243,7 +243,7 @@ class TestUsageErrors:
         assert result.exit_code == 1
         assert result.stdout == ""
         if value == "0":
-            assert result.stderr == "usage error: max_index must be at least 1\n"
+            assert result.stderr == f"usage error: max_index must be at least 1, got {value}\n"
         else:
             assert result.stderr == f"usage error: max_index {value} exceeds the desk-scale cap 10\n"
 

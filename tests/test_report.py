@@ -10,12 +10,12 @@ import pytest
 
 from knotfield import report
 from knotfield.artin import artin_rep
-from knotfield.braid import BraidWord, closure_components
+from knotfield.braid import BraidWord, closure_components, free_reduce, underlying_permutation
 from knotfield.cli import run
 from knotfield.errors import NonHyperbolic
 from knotfield.invariant import monodromy
 from knotfield.numfield import ideals_of_norm, make_field
-from knotfield.report import SMALL_GROUPS, _cayley, _fixed_tuples, correspondence_report, normal_subgroup_counts
+from knotfield.report import SMALL_GROUPS, _cayley, correspondence_report, normal_subgroup_counts
 from knotfield.smith import smith_invariants
 
 
@@ -219,7 +219,7 @@ def test_max_index_must_be_an_int():
 
 def test_max_index_is_checked_before_the_field():
     # s1 is not hyperbolic, but the out-of-range bound is the error reported
-    with pytest.raises(ValueError, match="^max_index must be at least 1$"):
+    with pytest.raises(ValueError, match="^max_index must be at least 1, got 0$"):
         correspondence_report(BraidWord(3, (1,)), 0)
 
 
@@ -232,7 +232,7 @@ def test_remainder_is_an_internal_error(monkeypatch):
         normal_subgroup_counts(BraidWord(3, (1, -2)), 3)
 
 
-# -- the Hurwitz letter maps against Artin's relators -----------------------------
+# -- the class-pattern walk against Artin's relators and the full walk ------------
 
 
 def evaluate(word, values, mul, inv):
@@ -246,24 +246,128 @@ def evaluate(word, values, mul, inv):
     return g
 
 
+def cycle_pattern(word):
+    """Each strand's cycle, numbered by least strand, and whether each cycle
+    is one strand other than the first: the pattern the walk starts from."""
+    images = underlying_permutation(word).images
+    cycles = []
+    for i in range(word.strands):
+        if not any(i in cycle for cycle in cycles):
+            cycle = [i]
+            while images[cycle[-1]] - 1 != i:
+                cycle.append(images[cycle[-1]] - 1)
+            cycles.append(cycle)
+    cycle_of = [next(n for n, cycle in enumerate(cycles) if i in cycle) for i in range(word.strands)]
+    return cycle_of, [cycle != [0] and len(cycle) == 1 for cycle in cycles]
+
+
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "D5"])
-def test_fixed_tuples_solve_artin_relators(name):
-    # Hom(G, Q) two ways: the tuples that the Hurwitz letter maps fix, and
-    # the tuples g with b(x_j)(g) = g_j for Artin's images b(x_j); a braid
-    # read first to last in either path gives another set
-    mul, inv = _cayley(next(k for k, g in enumerate(SMALL_GROUPS) if g[0] == name))
+def test_fixed_tuples_solve_artin_relators(name, monkeypatch):
+    # |Hom(G, Q)| two ways: the walk from one conjugacy class per cycle, each
+    # fixed tuple weighted by the class of g_1 and every tuple let through as
+    # generating, and the tuples g with b(x_j)(g) = g_j for Artin's images
+    # b(x_j); the same walk with the generation test gives |Epi(G, Q)|
+    k = next(k for k, g in enumerate(SMALL_GROUPS) if g[0] == name)
+    mul, inv = _cayley(k)
+    order = len(inv)
     rng = random.Random(25)
     for strands, count in ((3, 30), (4, 10)):
         for _ in range(count):
             letters = (rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(4, 8)))
             word = BraidWord(strands, tuple(letters))
             images = artin_rep(word).images
-            solutions = {
-                code
-                for code, values in enumerate(itertools.product(range(len(inv)), repeat=strands))
+            solutions = [
+                values
+                for values in itertools.product(range(order), repeat=strands)
                 if all(evaluate(image, values, mul, inv) == v for image, v in zip(images, values))
-            }
-            assert set(_fixed_tuples(mul, inv, strands, word.letters)) == solutions, word
+            ]
+            generating = sum(len(closure(mul, order, values)) == order for values in solutions)
+            assert report._epimorphisms(k, *cycle_pattern(word), word.letters) == generating, word
+            with monkeypatch.context() as patch:
+                patch.setattr(report, "_generates", lambda k, entries: True)
+                assert report._epimorphisms(k, *cycle_pattern(word), word.letters) == len(solutions), word
+
+
+def hurwitz(mul, inv, strands, letter):
+    """The Hurwitz action of one braid letter on the tuple codes of
+    Q^strands, g_1 the leading base-|Q| digit, as the list of images."""
+    m = len(inv)
+    pair = []
+    for a in range(m):
+        for b in range(m):
+            if letter > 0:  # (a, b) -> (a b a^-1, a)
+                pair.append(mul[mul[a * m + b] * m + inv[a]] * m + a)
+            else:  # (a, b) -> (b, b^-1 a b)
+                pair.append(b * m + mul[mul[inv[b] * m + a] * m + b])
+    low = m ** (strands - abs(letter) - 1)
+    return [high + p * low + rest for high in range(0, m**strands, low * m * m) for p in pair for rest in range(low)]
+
+
+def full_walk_counts(word, max_index):
+    """Hall's count with every tuple of Q^n walked through one |Q|^n-entry
+    Hurwitz map per letter, the letters read last to first."""
+    letters = free_reduce(word).letters
+    counts = [0] * max_index
+    for k, (name, order, automorphisms, _) in enumerate(SMALL_GROUPS):
+        if order > max_index:
+            continue
+        mul, inv = _cayley(k)
+        maps = {letter: hurwitz(mul, inv, word.strands, letter) for letter in set(letters)}
+        images = range(order**word.strands)
+        for letter in reversed(letters):
+            images = list(map(maps[letter].__getitem__, images))
+        fixed = [code for code, image in enumerate(images) if code == image]
+        keys = [frozenset(code // order**j % order for j in range(word.strands)) for code in fixed]
+        generating = {key: len(closure(mul, order, key)) == order for key in set(keys)}
+        kernels, rest = divmod(sum(map(generating.__getitem__, keys)), automorphisms)
+        assert rest == 0, (name, word)
+        counts[order - 1] += kernels
+    return counts
+
+
+def seeded_words(seed, count):
+    """Braids on 2 to 4 strands, in turn: a knot, a pure braid (a product of
+    conjugates of squares of generators) and a word without one generator,
+    which closes to a split link."""
+    rng = random.Random(seed)
+    words = []
+    for n in range(count):
+        strands = 2 + n // 3 % 3
+        gens = range(1, strands)
+        if n % 3 == 1:
+            letters = []
+            for _ in range(rng.randint(1, 3)):
+                conjugator = [rng.choice((1, -1)) * rng.choice(gens) for _ in range(rng.randint(0, 2))]
+                square = [rng.choice((1, -1)) * rng.choice(gens)] * 2
+                letters += conjugator + square + [-g for g in reversed(conjugator)]
+        elif n % 3 == 2:
+            gens = [g for g in gens if g != rng.choice(gens)]
+            letters = [rng.choice((1, -1)) * rng.choice(gens) for _ in range(rng.randint(0, 8) if gens else 0)]
+        else:
+            letters = []
+            while closure_components(BraidWord(strands, tuple(letters))) > 1:
+                letters = [rng.choice((1, -1)) * rng.choice(gens) for _ in range(rng.randint(1, 8))]
+        words.append(BraidWord(strands, tuple(letters)))
+    return words
+
+
+def test_class_pattern_walk_matches_the_full_walk_on_seeded_braids(monkeypatch):
+    # the walk over one conjugacy class per cycle counts what the walk over
+    # all of Q^n counts; every tenth braid is walked in blocks of 5 tuples.
+    # test_fixed_tuples_solve_artin_relators takes the groups of order 8 and 10
+    # to 4 strands
+    words = seeded_words(32, 300)
+    for n, word in enumerate(words):
+        max_index = 6 if word.strands == 4 else 10
+        with monkeypatch.context() as patch:
+            if n % 10 == 0:
+                patch.setattr(report, "BLOCK_TUPLES", 5)
+            assert normal_subgroup_counts(word, max_index) == full_walk_counts(word, max_index), word
+    components = [closure_components(word) for word in words]
+    knots = sum(c == 1 for c in components)
+    pure = sum(c == word.strands for c, word in zip(components, words))
+    split = sum(word.strands > 2 and len({abs(x) for x in word.letters}) < word.strands - 1 for word in words)
+    assert {word.strands for word in words} == {2, 3, 4} and min(knots, pure, split) >= 50, (knots, pure, split)
 
 
 # -- double branched cover oracle -------------------------------------------------
